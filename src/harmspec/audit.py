@@ -11,12 +11,18 @@ Claim kinds:
   inequality        a lower bound whose signed margin is reported;
   census-structure  structural facts about the order-10 cubic census.
 
+Every claim is one row of the ``CLAIMS`` table. A row of the first three
+kinds names a graph and a claimed value per grid point and shares its
+kind's check; the census-structure claims, the disjoint-union lemma and
+the friendship energy carry their own evidence and have their own check.
+
 Verdicts are frozen into a baseline file committed with the package; a
 verdict changing between runs is reported as drift.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +31,6 @@ from typing import Callable, Iterable
 
 from .census import cached_census, canonical_form, compare_reference_table
 from .charpoly import (
-    RatPoly,
     closed_form_book,
     closed_form_complete,
     closed_form_complete_bipartite,
@@ -53,7 +58,6 @@ from .families import (
     star,
 )
 from .graphs import Graph, disjoint_union
-from .harmonic import harmonic_matrix
 from .spectrum import harmonic_energy
 
 EXACT_MATCH = "EXACT-MATCH"
@@ -83,180 +87,89 @@ class AuditResult:
 
 @dataclass(frozen=True)
 class Claim:
+    """A registered claim. ``check`` takes one grid point as keyword
+    arguments and returns the verdict and its evidence."""
+
     id: str
     kind: str
     description: str
     grid: tuple[tuple[tuple[str, int], ...], ...]
-    run: Callable[[dict[str, int]], AuditResult]
+    check: Callable[..., tuple[str, dict]]
+
+    def audit(self, params: dict[str, int]) -> AuditResult:
+        verdict, evidence = self.check(**params)
+        return AuditResult(self.id, tuple(sorted(params.items())), verdict, evidence)
+
+
+def _numeric(ok: bool) -> str:
+    return NUMERIC_MATCH if ok else MISMATCH
 
 
 # ---------------------------------------------------------------------------
-# Generic checkers
+# Uniform checks, one per kind
 # ---------------------------------------------------------------------------
+#
+# A uniform row's ``case`` maps a grid point to (claimed value, graph). Cases
+# are lambdas that look closed forms and constructors up by name when the
+# check runs, so a rebinding of those module attributes (a tracer, a test's
+# monkeypatch) reaches the audit; a function object stored in the table
+# would not see it.
 
 
-def _params_tuple(params: dict[str, int]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(params.items()))
-
-
-def _exact_result(claim_id: str, params: dict, claimed: RatPoly, g: Graph) -> AuditResult:
-    oracle = graph_char_poly(g)
-    residual = claimed - oracle
-    verdict = EXACT_MATCH if residual.is_zero else MISMATCH
+def _exact_polynomial(case: Callable, **params: int) -> tuple[str, dict]:
+    claimed, g = case(**params)
+    residual = claimed - graph_char_poly(g)
     evidence = {
         "claimed": poly_text(claimed),
         "residual": poly_text(residual),
         "residual_is_zero": residual.is_zero,
     }
-    return AuditResult(claim_id, _params_tuple(params), verdict, evidence)
+    return (EXACT_MATCH if residual.is_zero else MISMATCH), evidence
 
 
-def _energy_result(
-    claim_id: str,
-    params: dict,
-    claimed_value: float,
-    g: Graph,
-    extra: dict | None = None,
-) -> AuditResult:
-    he = harmonic_energy(g).he
-    delta = abs(he - claimed_value)
-    verdict = NUMERIC_MATCH if delta < NUMERIC_TOL else MISMATCH
-    evidence = {"claimed": claimed_value, "computed": he, "delta": delta}
-    if extra:
-        evidence.update(extra)
-    return AuditResult(claim_id, _params_tuple(params), verdict, evidence)
+def _numeric_energy(case: Callable, **params: int) -> tuple[str, dict]:
+    claimed, g = case(**params)
+    return _energy_evidence(claimed, harmonic_energy(g).he)
 
 
-def _bound_result(claim_id: str, params: dict, bound: float, g: Graph) -> AuditResult:
+def _energy_evidence(claimed: float, he: float) -> tuple[str, dict]:
+    delta = abs(he - claimed)
+    return _numeric(delta < NUMERIC_TOL), {"claimed": claimed, "computed": he, "delta": delta}
+
+
+def _inequality(case: Callable, **params: int) -> tuple[str, dict]:
+    bound, g = case(**params)
     he = harmonic_energy(g).he
     margin = he - bound
-    verdict = NUMERIC_MATCH if margin >= -NUMERIC_TOL else MISMATCH
-    evidence = {"bound": bound, "computed": he, "margin": margin}
-    return AuditResult(claim_id, _params_tuple(params), verdict, evidence)
+    return _numeric(margin >= -NUMERIC_TOL), {"bound": bound, "computed": he, "margin": margin}
 
 
-def _structure_result(claim_id: str, ok: bool, evidence: dict) -> AuditResult:
-    return AuditResult(claim_id, (), NUMERIC_MATCH if ok else MISMATCH, evidence)
+_EXACT = "exact-polynomial"
+_ENERGY = "numeric-energy"
+_BOUND = "inequality"
+_CENSUS = "census-structure"
+
+_UNIFORM_CHECKS = {_EXACT: _exact_polynomial, _ENERGY: _numeric_energy, _BOUND: _inequality}
+
+
+def _row(claim_id: str, kind: str, description: str, grid: tuple, case: Callable) -> Claim:
+    return Claim(claim_id, kind, description, grid, functools.partial(_UNIFORM_CHECKS[kind], case))
 
 
 # ---------------------------------------------------------------------------
-# Per-claim runners
+# Claims with their own evidence
 # ---------------------------------------------------------------------------
 
 
-def _run_path_statement(p: dict) -> AuditResult:
-    n = p["n"]
-    return _exact_result("thm-path-statement", p, closed_form_path_statement(n), path(n))
-
-
-def _run_path_proof(p: dict) -> AuditResult:
-    n = p["n"]
-    return _exact_result("thm-path-proof", p, closed_form_path_proof(n), path(n))
-
-
-def _run_cycle(p: dict) -> AuditResult:
-    n = p["n"]
-    return _exact_result("thm-cycle-charpoly", p, closed_form_cycle(n), cycle(n))
-
-
-def _run_star_poly(p: dict) -> AuditResult:
-    n = p["n"]
-    return _exact_result("thm-star-charpoly", p, closed_form_star(n), star(n))
-
-
-def _run_star_energy(p: dict) -> AuditResult:
-    n = p["n"]
-    return _energy_result("thm-star-energy", p, 4.0 * math.sqrt(n - 1) / n, star(n))
-
-
-def _run_complete_poly(p: dict) -> AuditResult:
-    n = p["n"]
-    return _exact_result("thm-complete-charpoly", p, closed_form_complete(n), complete(n))
-
-
-def _run_complete_energy(p: dict) -> AuditResult:
-    return _energy_result("thm-complete-energy", p, 2.0, complete(p["n"]))
-
-
-def _run_bipartite_poly(p: dict) -> AuditResult:
-    m, n = p["m"], p["n"]
-    return _exact_result(
-        "thm-bipartite-charpoly", p, closed_form_complete_bipartite(m, n), complete_bipartite(m, n)
-    )
-
-
-def _run_bipartite_energy(p: dict) -> AuditResult:
-    m, n = p["m"], p["n"]
-    claimed = 2.0 * math.sqrt(4.0 * m * n / (m + n) ** 2)
-    return _energy_result("thm-bipartite-energy", p, claimed, complete_bipartite(m, n))
-
-
-def _run_friendship_poly(p: dict) -> AuditResult:
-    n = p["n"]
-    return _exact_result("thm-friendship-charpoly", p, closed_form_friendship(n), friendship(n))
-
-
-def _run_friendship_energy(p: dict) -> AuditResult:
-    n = p["n"]
+def _friendship_energy(n: int) -> tuple[str, dict]:
     # The theorem claims HE = n. Its own proof lists the eigenvalues, whose
     # absolute sum is recorded alongside as corroborating evidence.
     eigensum = (2 * n - 1) / 2 + math.sqrt((n + 1) ** 2 + 32 * n) / (2 * (n + 1))
-    g = friendship(n)
-    he = harmonic_energy(g).he
-    extra = {
-        "proof_eigenvalue_sum": eigensum,
-        "proof_eigenvalue_sum_delta": abs(he - eigensum),
-    }
-    return _energy_result("thm-friendship-energy", p, float(n), g, extra)
-
-
-def _run_windmill_product(p: dict) -> AuditResult:
-    m, n = p["m"], p["n"]
-    return _exact_result(
-        "thm-windmill-product-charpoly",
-        p,
-        closed_form_windmill_product(m, n),
-        dutch_windmill(m, n),
-    )
-
-
-def _run_windmill4_poly(p: dict) -> AuditResult:
-    n = p["n"]
-    return _exact_result("thm-windmill4-charpoly", p, closed_form_windmill4(n), dutch_windmill(4, n))
-
-
-def _run_windmill4_energy(p: dict) -> AuditResult:
-    n = p["n"]
-    claimed = math.sqrt(8.0 * (n - 1) ** 2) / 2 + math.sqrt(8.0 * n + 2.0 * (n + 1) ** 2) / (n + 1)
-    return _energy_result("thm-windmill4-energy", p, claimed, dutch_windmill(4, n))
-
-
-def _run_windmill5_poly(p: dict) -> AuditResult:
-    n = p["n"]
-    return _exact_result("thm-windmill5-charpoly", p, closed_form_windmill5(n), dutch_windmill(5, n))
-
-
-def _run_windmill5_bound(p: dict) -> AuditResult:
-    n = p["n"]
-    return _bound_result("thm-windmill5-energy-bound", p, 1.0 + n * math.sqrt(5.0), dutch_windmill(5, n))
-
-
-def _run_book_poly(p: dict) -> AuditResult:
-    n = p["n"]
-    return _exact_result("thm-book-charpoly", p, closed_form_book(n), book(n))
-
-
-def _run_book_energy(p: dict) -> AuditResult:
-    n = p["n"]
-    return _energy_result("thm-book-energy", p, (n * n + n + 2) / (n + 1), book(n))
-
-
-def _run_petersen_poly(p: dict) -> AuditResult:
-    return _exact_result("thm-petersen-charpoly", p, closed_form_petersen(), petersen())
-
-
-def _run_petersen_energy(p: dict) -> AuditResult:
-    return _energy_result("thm-petersen-energy", p, 16.0 / 3.0, petersen())
+    he = harmonic_energy(friendship(n)).he
+    verdict, evidence = _energy_evidence(float(n), he)
+    evidence["proof_eigenvalue_sum"] = eigensum
+    evidence["proof_eigenvalue_sum_delta"] = abs(he - eigensum)
+    return verdict, evidence
 
 
 # Deterministic pairs for the disjoint union lemma.
@@ -269,38 +182,36 @@ _UNION_PAIRS: tuple[tuple[str, Callable[[], Graph], str, Callable[[], Graph]], .
 )
 
 
-def _run_union_poly(p: dict) -> AuditResult:
-    name_a, make_a, name_b, make_b = _UNION_PAIRS[p["pair"]]
+def _union_charpoly(pair: int) -> tuple[str, dict]:
+    name_a, make_a, name_b, make_b = _UNION_PAIRS[pair]
     a, b = make_a(), make_b()
     product = graph_char_poly(a) * graph_char_poly(b)
-    combined = graph_char_poly(disjoint_union([a, b]))
-    residual = combined - product
-    verdict = EXACT_MATCH if residual.is_zero else MISMATCH
+    residual = graph_char_poly(disjoint_union([a, b])) - product
     evidence = {
         "parts": f"{name_a} + {name_b}",
         "residual": poly_text(residual),
         "residual_is_zero": residual.is_zero,
     }
-    return AuditResult("lemma-union-charpoly-product", _params_tuple(p), verdict, evidence)
+    return (EXACT_MATCH if residual.is_zero else MISMATCH), evidence
 
 
-def _run_union_energy(p: dict) -> AuditResult:
-    name_a, make_a, name_b, make_b = _UNION_PAIRS[p["pair"]]
+def _union_energy(pair: int) -> tuple[str, dict]:
+    name_a, make_a, name_b, make_b = _UNION_PAIRS[pair]
     a, b = make_a(), make_b()
     he_sum = harmonic_energy(a).he + harmonic_energy(b).he
     he_union = harmonic_energy(disjoint_union([a, b])).he
     delta = abs(he_union - he_sum)
-    verdict = NUMERIC_MATCH if delta < NUMERIC_TOL else MISMATCH
     evidence = {"parts": f"{name_a} + {name_b}", "sum": he_sum, "union": he_union, "delta": delta}
-    return AuditResult("lemma-union-energy-sum", _params_tuple(p), verdict, evidence)
+    return _numeric(delta < NUMERIC_TOL), evidence
 
 
-def _cubic10():
-    return cached_census(10, 3)
+def _petersen_index(records) -> int | None:
+    pet_key = canonical_form(petersen())
+    return next((r.index for r in records if r.graph6 == pet_key), None)
 
 
-def _run_cubic10_classes(p: dict) -> AuditResult:
-    records, classes = _cubic10()
+def _cubic10_classes() -> tuple[str, dict]:
+    records, classes = cached_census(10, 3)
     sizes = sorted(len(c.members) for c in classes)
     pairs = sum(1 for c in classes if len(c.members) == 2)
     singles = sum(1 for c in classes if len(c.members) == 1)
@@ -311,25 +222,19 @@ def _run_cubic10_classes(p: dict) -> AuditResult:
         "singleton_classes": singles,
         "class_sizes": sizes,
     }
-    return _structure_result("thm-cubic10-he-classes", ok, evidence)
+    return _numeric(ok), evidence
 
 
-def _run_cubic10_eigdiff(p: dict) -> AuditResult:
-    _, classes = _cubic10()
-    counts = []
-    for c in classes:
-        for a, b, count in c.eigen_diffs:
-            counts.append(count)
+def _cubic10_eigdiff() -> tuple[str, dict]:
+    _, classes = cached_census(10, 3)
+    counts = [count for c in classes for _, _, count in c.eigen_diffs]
     ok = bool(counts) and all(count == 3 for count in counts)
-    return _structure_result(
-        "thm-cubic10-eigdiff", ok, {"observed_diff_counts": sorted(counts)}
-    )
+    return _numeric(ok), {"observed_diff_counts": sorted(counts)}
 
 
-def _run_petersen_not_unique(p: dict) -> AuditResult:
-    records, classes = _cubic10()
-    pet_key = canonical_form(petersen())
-    pet_index = next((r.index for r in records if r.graph6 == pet_key), None)
+def _petersen_not_unique() -> tuple[str, dict]:
+    records, classes = cached_census(10, 3)
+    pet_index = _petersen_index(records)
     cls = next((c for c in classes if pet_index in c.members), None)
     ok = pet_index is not None and cls is not None and len(cls.members) == 2
     evidence = {
@@ -337,14 +242,13 @@ def _run_petersen_not_unique(p: dict) -> AuditResult:
         "class_size": len(cls.members) if cls else 0,
         "class_he": cls.he if cls else None,
     }
-    return _structure_result("thm-petersen-not-unique", ok, evidence)
+    return _numeric(ok), evidence
 
 
-def _run_petersen_max(p: dict) -> AuditResult:
-    records, classes = _cubic10()
+def _petersen_max() -> tuple[str, dict]:
+    records, classes = cached_census(10, 3)
     top = max(classes, key=lambda c: c.he)
-    pet_key = canonical_form(petersen())
-    pet_index = next((r.index for r in records if r.graph6 == pet_key), None)
+    pet_index = _petersen_index(records)
     ok = (
         pet_index is not None
         and pet_index in top.members
@@ -356,20 +260,19 @@ def _run_petersen_max(p: dict) -> AuditResult:
         "max_members": list(top.members),
         "petersen_index": pet_index,
     }
-    return _structure_result("thm-petersen-max-energy", ok, evidence)
+    return _numeric(ok), evidence
 
 
-def _run_reference_table(p: dict) -> AuditResult:
-    records, _ = _cubic10()
+def _reference_table() -> tuple[str, dict]:
+    records, _ = cached_census(10, 3)
     comparison = compare_reference_table(records)
-    ok = comparison.match_count >= 20
     evidence = {
         "match_count": comparison.match_count,
         "total": comparison.total,
         "unmatched_computed": list(comparison.unmatched_computed),
         "unmatched_reference": [ref for ref, got in comparison.entries if got is None],
     }
-    return _structure_result("reference-table-multiset", ok, evidence)
+    return _numeric(comparison.match_count >= 20), evidence
 
 
 # ---------------------------------------------------------------------------
@@ -381,93 +284,88 @@ def _grid_n(lo: int, hi: int) -> tuple:
     return tuple((("n", n),) for n in range(lo, hi + 1))
 
 
-def _grid_mn_bipartite() -> tuple:
-    out = []
-    for m in range(1, 12):
-        for n in range(m, 12):
-            if m + n <= 12:
-                out.append((("m", m), ("n", n)))
-    return tuple(out)
+_ONCE = ((),)
+_GRID_BIPARTITE = tuple(
+    (("m", m), ("n", n)) for m in range(1, 12) for n in range(m, 12) if m + n <= 12
+)
+_GRID_WINDMILL = tuple((("m", m), ("n", n)) for m in range(3, 7) for n in range(1, 4))
+_GRID_PAIRS = tuple((("pair", i),) for i in range(len(_UNION_PAIRS)))
 
-
-def _grid_windmill() -> tuple:
-    return tuple(
-        (("m", m), ("n", n)) for m in range(3, 7) for n in range(1, 4)
-    )
-
-
-def _grid_pairs() -> tuple:
-    return tuple((("pair", i),) for i in range(len(_UNION_PAIRS)))
-
-
-def _build_claims() -> dict[str, Claim]:
-    claims = [
-        Claim("thm-path-statement", "exact-polynomial",
-              "path closed form, theorem-statement variant", _grid_n(5, 12), _run_path_statement),
-        Claim("thm-path-proof", "exact-polynomial",
-              "path closed form, proof-conclusion variant", _grid_n(4, 12), _run_path_proof),
-        Claim("thm-cycle-charpoly", "exact-polynomial",
-              "cycle closed form", _grid_n(3, 12), _run_cycle),
-        Claim("thm-star-charpoly", "exact-polynomial",
-              "star closed form", _grid_n(2, 12), _run_star_poly),
-        Claim("thm-star-energy", "numeric-energy",
-              "star energy 4*sqrt(n-1)/n", _grid_n(2, 12), _run_star_energy),
-        Claim("thm-complete-charpoly", "exact-polynomial",
-              "complete graph closed form", _grid_n(2, 12), _run_complete_poly),
-        Claim("thm-complete-energy", "numeric-energy",
-              "complete graph energy 2", _grid_n(2, 12), _run_complete_energy),
-        Claim("thm-bipartite-charpoly", "exact-polynomial",
-              "complete bipartite closed form", _grid_mn_bipartite(), _run_bipartite_poly),
-        Claim("thm-bipartite-energy", "numeric-energy",
-              "complete bipartite energy 4*sqrt(mn)/(m+n)", _grid_mn_bipartite(), _run_bipartite_energy),
-        Claim("thm-friendship-charpoly", "exact-polynomial",
-              "friendship closed form", _grid_n(1, 6), _run_friendship_poly),
-        Claim("thm-friendship-energy", "numeric-energy",
-              "friendship energy claimed equal to n", _grid_n(1, 6), _run_friendship_energy),
-        Claim("thm-windmill-product-charpoly", "exact-polynomial",
-              "windmill charpoly as a blade-power times the cycle form", _grid_windmill(), _run_windmill_product),
-        Claim("thm-windmill4-charpoly", "exact-polynomial",
-              "4-cycle windmill closed form", _grid_n(1, 6), _run_windmill4_poly),
-        Claim("thm-windmill4-energy", "numeric-energy",
-              "4-cycle windmill energy formula", _grid_n(1, 6), _run_windmill4_energy),
-        Claim("thm-windmill5-charpoly", "exact-polynomial",
-              "5-cycle windmill closed form (literal reading)", _grid_n(1, 6), _run_windmill5_poly),
-        Claim("thm-windmill5-energy-bound", "inequality",
-              "5-cycle windmill energy lower bound 1+n*sqrt(5)", _grid_n(1, 6), _run_windmill5_bound),
-        Claim("thm-book-charpoly", "exact-polynomial",
-              "book closed form", _grid_n(1, 6), _run_book_poly),
-        Claim("thm-book-energy", "numeric-energy",
-              "book energy (n^2+n+2)/(n+1)", _grid_n(1, 6), _run_book_energy),
-        Claim("thm-petersen-charpoly", "exact-polynomial",
-              "Petersen factored charpoly", ((),), _run_petersen_poly),
-        Claim("thm-petersen-energy", "numeric-energy",
-              "Petersen energy 16/3", ((),), _run_petersen_energy),
-        Claim("lemma-union-charpoly-product", "exact-polynomial",
-              "disjoint union charpoly is the product", _grid_pairs(), _run_union_poly),
-        Claim("lemma-union-energy-sum", "numeric-energy",
-              "disjoint union energy is the sum", _grid_pairs(), _run_union_energy),
-        Claim("thm-cubic10-he-classes", "census-structure",
-              "order-10 cubic census: three pairs, fifteen singletons", ((),), _run_cubic10_classes),
-        Claim("thm-cubic10-eigdiff", "census-structure",
-              "same-energy cubic pairs differ in exactly three eigenvalues", ((),), _run_cubic10_eigdiff),
-        Claim("thm-petersen-not-unique", "census-structure",
-              "Petersen shares its energy class with one other graph", ((),), _run_petersen_not_unique),
-        Claim("thm-petersen-max-energy", "census-structure",
-              "Petersen's class is the census maximum, 16/3", ((),), _run_petersen_max),
-        Claim("reference-table-multiset", "census-structure",
-              "computed census energies match the reference multiset", ((),), _run_reference_table),
-    ]
-    return {c.id: c for c in claims}
-
-
-CLAIMS: dict[str, Claim] = _build_claims()
+CLAIMS: dict[str, Claim] = {c.id: c for c in (
+    _row("thm-path-statement", _EXACT, "path closed form, theorem-statement variant",
+         _grid_n(5, 12), lambda n: (closed_form_path_statement(n), path(n))),
+    _row("thm-path-proof", _EXACT, "path closed form, proof-conclusion variant",
+         _grid_n(4, 12), lambda n: (closed_form_path_proof(n), path(n))),
+    _row("thm-cycle-charpoly", _EXACT, "cycle closed form",
+         _grid_n(3, 12), lambda n: (closed_form_cycle(n), cycle(n))),
+    _row("thm-star-charpoly", _EXACT, "star closed form",
+         _grid_n(2, 12), lambda n: (closed_form_star(n), star(n))),
+    _row("thm-star-energy", _ENERGY, "star energy 4*sqrt(n-1)/n",
+         _grid_n(2, 12), lambda n: (4.0 * math.sqrt(n - 1) / n, star(n))),
+    _row("thm-complete-charpoly", _EXACT, "complete graph closed form",
+         _grid_n(2, 12), lambda n: (closed_form_complete(n), complete(n))),
+    _row("thm-complete-energy", _ENERGY, "complete graph energy 2",
+         _grid_n(2, 12), lambda n: (2.0, complete(n))),
+    _row("thm-bipartite-charpoly", _EXACT, "complete bipartite closed form",
+         _GRID_BIPARTITE,
+         lambda m, n: (closed_form_complete_bipartite(m, n), complete_bipartite(m, n))),
+    _row("thm-bipartite-energy", _ENERGY, "complete bipartite energy 4*sqrt(mn)/(m+n)",
+         _GRID_BIPARTITE,
+         lambda m, n: (2.0 * math.sqrt(4.0 * m * n / (m + n) ** 2), complete_bipartite(m, n))),
+    _row("thm-friendship-charpoly", _EXACT, "friendship closed form",
+         _grid_n(1, 6), lambda n: (closed_form_friendship(n), friendship(n))),
+    Claim("thm-friendship-energy", _ENERGY, "friendship energy claimed equal to n",
+          _grid_n(1, 6), _friendship_energy),
+    _row("thm-windmill-product-charpoly", _EXACT, "windmill charpoly as a blade-power times the cycle form",
+         _GRID_WINDMILL,
+         lambda m, n: (closed_form_windmill_product(m, n), dutch_windmill(m, n))),
+    _row("thm-windmill4-charpoly", _EXACT, "4-cycle windmill closed form",
+         _grid_n(1, 6), lambda n: (closed_form_windmill4(n), dutch_windmill(4, n))),
+    _row("thm-windmill4-energy", _ENERGY, "4-cycle windmill energy formula",
+         _grid_n(1, 6), lambda n: (
+             math.sqrt(8.0 * (n - 1) ** 2) / 2 + math.sqrt(8.0 * n + 2.0 * (n + 1) ** 2) / (n + 1),
+             dutch_windmill(4, n))),
+    _row("thm-windmill5-charpoly", _EXACT, "5-cycle windmill closed form (literal reading)",
+         _grid_n(1, 6), lambda n: (closed_form_windmill5(n), dutch_windmill(5, n))),
+    _row("thm-windmill5-energy-bound", _BOUND, "5-cycle windmill energy lower bound 1+n*sqrt(5)",
+         _grid_n(1, 6), lambda n: (1.0 + n * math.sqrt(5.0), dutch_windmill(5, n))),
+    _row("thm-book-charpoly", _EXACT, "book closed form",
+         _grid_n(1, 6), lambda n: (closed_form_book(n), book(n))),
+    _row("thm-book-energy", _ENERGY, "book energy (n^2+n+2)/(n+1)",
+         _grid_n(1, 6), lambda n: ((n * n + n + 2) / (n + 1), book(n))),
+    _row("thm-petersen-charpoly", _EXACT, "Petersen factored charpoly",
+         _ONCE, lambda: (closed_form_petersen(), petersen())),
+    _row("thm-petersen-energy", _ENERGY, "Petersen energy 16/3",
+         _ONCE, lambda: (16.0 / 3.0, petersen())),
+    Claim("lemma-union-charpoly-product", _EXACT, "disjoint union charpoly is the product",
+          _GRID_PAIRS, _union_charpoly),
+    Claim("lemma-union-energy-sum", _ENERGY, "disjoint union energy is the sum",
+          _GRID_PAIRS, _union_energy),
+    Claim("thm-cubic10-he-classes", _CENSUS, "order-10 cubic census: three pairs, fifteen singletons",
+          _ONCE, _cubic10_classes),
+    Claim("thm-cubic10-eigdiff", _CENSUS, "same-energy cubic pairs differ in exactly three eigenvalues",
+          _ONCE, _cubic10_eigdiff),
+    Claim("thm-petersen-not-unique", _CENSUS, "Petersen shares its energy class with one other graph",
+          _ONCE, _petersen_not_unique),
+    Claim("thm-petersen-max-energy", _CENSUS, "Petersen's class is the census maximum, 16/3",
+          _ONCE, _petersen_max),
+    Claim("reference-table-multiset", _CENSUS, "computed census energies match the reference multiset",
+          _ONCE, _reference_table),
+)}
 
 
 def audit_claim(claim_id: str, **params: int) -> AuditResult:
     """Run a single registered claim at the given parameter values."""
-    if claim_id not in CLAIMS:
+    claim = CLAIMS.get(claim_id)
+    if claim is None:
         raise ValueError(f"unknown claim id {claim_id!r}; known: {', '.join(sorted(CLAIMS))}")
-    return CLAIMS[claim_id].run(params)
+    expected = [name for name, _ in claim.grid[0]]
+    if sorted(params) != expected:
+        raise ValueError(
+            f"claim {claim_id!r} takes parameters ({', '.join(expected)}), "
+            f"got ({', '.join(sorted(params))})"
+        )
+    return claim.audit(params)
 
 
 def audit_all(claim_ids: Iterable[str] | None = None) -> list[AuditResult]:
@@ -481,8 +379,7 @@ def audit_all(claim_ids: Iterable[str] | None = None) -> list[AuditResult]:
         claim = CLAIMS.get(cid)
         if claim is None:
             raise ValueError(f"unknown claim id {cid!r}")
-        for point in claim.grid:
-            results.append(claim.run(dict(point)))
+        results.extend(claim.audit(dict(point)) for point in claim.grid)
     return results
 
 

@@ -14,7 +14,6 @@ import csv
 import functools
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
@@ -225,7 +224,6 @@ def census(
     n: int,
     d: int,
     *,
-    threads: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> tuple[list[CensusRecord], list[EnergyClass]]:
     """Full census at (n, d): enumerate, solve every spectrum, and group
@@ -235,32 +233,24 @@ def census(
     graphs = enumerate_regular(n, d)
     if progress:
         progress(f"{len(graphs)} isomorphism classes; solving spectra ...")
-    return census_from_graphs(graphs, threads=threads)
+    return census_from_graphs(graphs)
 
 
-def census_from_graphs(
-    graphs: Sequence[Graph], *, threads: int = 1
-) -> tuple[list[CensusRecord], list[EnergyClass]]:
+def census_from_graphs(graphs: Sequence[Graph]) -> tuple[list[CensusRecord], list[EnergyClass]]:
     """Census records and energy classes for an externally supplied list of
     graphs (one record per input, in input order)."""
-
-    def solve(item: tuple[int, Graph]) -> CensusRecord:
-        idx, g = item
+    records = []
+    for idx, g in enumerate(graphs, start=1):
         report = harmonic_energy(g)
-        return CensusRecord(
-            index=idx,
-            graph6=encode_graph6(g),
-            connected=len(components(g)) <= 1,
-            he=report.he,
-            spectrum=report.spectrum.eigenvalues,
+        records.append(
+            CensusRecord(
+                index=idx,
+                graph6=encode_graph6(g),
+                connected=len(components(g)) <= 1,
+                he=report.he,
+                spectrum=report.spectrum.eigenvalues,
+            )
         )
-
-    items = list(enumerate(graphs, start=1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(solve, items))
-    else:
-        records = [solve(item) for item in items]
     return records, energy_classes(records)
 
 

@@ -468,18 +468,15 @@ def _divisors(n: int) -> list[int]:
 
 
 def _deflate(p: RatPoly, root: Fraction) -> RatPoly:
-    """Exact synthetic division of p by (x - root); assumes p(root) == 0."""
+    """Exact synthetic division of p by (x - root); p(root) must be 0."""
     out = []
     acc = Fraction(0)
     for c in reversed(p.coeffs):
         acc = acc * root + c
         out.append(acc)
-    assert out[-1] == 0
+    if out[-1] != 0:
+        raise ArithmeticError(f"deflation by {root} left remainder {out[-1]}: lost exactness")
     return RatPoly(list(reversed(out[:-1])))
-
-
-def _fraction_text(x: Fraction) -> str:
-    return str(x)
 
 
 def poly_text(p: RatPoly, var: str = "λ") -> str:
@@ -494,10 +491,10 @@ def poly_text(p: RatPoly, var: str = "λ") -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if k == 0:
-            body = _fraction_text(mag)
+            body = str(mag)
         else:
             xpow = var if k == 1 else f"{var}^{k}"
-            body = xpow if mag == 1 else f"{_fraction_text(mag)} {xpow}"
+            body = xpow if mag == 1 else f"{mag} {xpow}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:
@@ -511,7 +508,7 @@ def factored_display(p: RatPoly, var: str = "λ") -> str:
     if p.is_zero:
         return "0"
     if p.degree == 0:
-        return _fraction_text(p.coeffs[0])
+        return str(p.coeffs[0])
     roots = rational_roots(p)
     q = p
     for root, mult in roots:
@@ -522,16 +519,16 @@ def factored_display(p: RatPoly, var: str = "λ") -> str:
         if root == 0:
             base = var
         elif root > 0:
-            base = f"({var} - {_fraction_text(root)})"
+            base = f"({var} - {root})"
         else:
-            base = f"({var} + {_fraction_text(-root)})"
+            base = f"({var} + {-root})"
         parts.append(base if mult == 1 else f"{base}^{mult}")
     if q.degree >= 1:
         body = poly_text(q, var)
         parts.append(f"({body})" if parts else body)
     elif q != RatPoly.one() or not parts:
         # Constant factor left over (non-monic input or constant poly).
-        parts.insert(0, _fraction_text(q.coeffs[0]) if not q.is_zero else "0")
+        parts.insert(0, str(q.coeffs[0]) if not q.is_zero else "0")
     return "".join(parts) if parts else "1"
 
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from fractions import Fraction
 
 from . import audit as audit_mod
 from .census import (
@@ -124,10 +122,6 @@ def _emit_blocks(args, blocks: list[str], payloads: list[dict]):
         _emit(args, "\n\n".join(blocks))
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _cmd_gen(args) -> int:
     graphs = _family_graphs(args)
     if args.format == "json":
@@ -154,7 +148,7 @@ def _cmd_index(args) -> int:
     blocks, payloads = [], []
     for g in graphs:
         h = harmonic_index(g)
-        blocks.append(_fraction_str(h))
+        blocks.append(str(h))
         payloads.append({"harmonic_index": {"num": h.numerator, "den": h.denominator}})
     _emit_blocks(args, blocks, payloads)
     return 0
@@ -165,9 +159,10 @@ def _cmd_charpoly(args) -> int:
     blocks, payloads = [], []
     for g in graphs:
         p = graph_char_poly(g)
-        blocks.append(f"{poly_text(p)}\n  = {factored_display(p)}")
+        factored = factored_display(p)
+        blocks.append(f"{poly_text(p)}\n  = {factored}")
         payload = poly_json(p)
-        payload["factored"] = factored_display(p)
+        payload["factored"] = factored
         payloads.append(payload)
     _emit_blocks(args, blocks, payloads)
     return 0
@@ -190,28 +185,16 @@ def _cmd_energy(args) -> int:
     return 0
 
 
-def _census_threads() -> int:
-    raw = os.environ.get("HARMSPEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_census(args) -> int:
     progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
     if args.from_file:
-        try:
-            graphs = read_graph6_file(args.from_file)
-        except OSError as exc:
-            raise ValueError(f"cannot read {args.from_file}: {exc.strerror or exc}") from exc
-        records, classes = census_from_graphs(graphs, threads=_census_threads())
+        records, classes = census_from_graphs(_family_graphs(args))
         n = d = None
     else:
         if args.n is None or args.degree is None:
             raise ValueError("census needs --n and --degree (or --from-file)")
         n, d = args.n, args.degree
-        records, classes = census(n, d, threads=_census_threads(), progress=progress)
+        records, classes = census(n, d, progress=progress)
 
     comparison = None
     if len(records) == len(REFERENCE_CUBIC10_HE):

@@ -72,6 +72,10 @@ def test_unknown_claim_rejected():
         audit_claim("thm-does-not-exist", n=1)
     with pytest.raises(ValueError, match="unknown claim id"):
         audit_all(["thm-does-not-exist"])
+    with pytest.raises(ValueError, match=r"takes parameters \(n\)"):
+        audit_claim("thm-complete-energy", n=7, m=3)
+    with pytest.raises(ValueError, match=r"takes parameters \(n\)"):
+        audit_claim("thm-cycle-charpoly")
 
 
 def test_every_claim_has_grid_and_kind():

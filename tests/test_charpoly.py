@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from harmspec.charpoly import (
     RatPoly,
+    _deflate,
     char_poly,
     closed_form,
     closed_form_complete,
@@ -251,6 +252,11 @@ class TestDisplay:
     def test_rational_roots_multiplicities(self):
         p = (X - 1) * (X + HALF) ** 2
         assert rational_roots(p) == [(Fraction(1), 1), (Fraction(-1, 2), 2)]
+
+    def test_deflate_by_non_root_raises(self):
+        # x^2 - 1 leaves remainder 3 at x = 2; this must survive python -O.
+        with pytest.raises(ArithmeticError, match="lost exactness"):
+            _deflate(RatPoly((-1, 0, 1)), Fraction(2))
 
     def test_high_multiplicity_roots_found(self):
         p = closed_form_complete(12)
