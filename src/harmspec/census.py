@@ -5,7 +5,8 @@ published reference energies for cubic graphs of order 10.
 Enumeration is a backtracking search over adjacency rows with remaining
 degree pruning, restricted to labelings that introduce unseen vertices in
 increasing order (a sound symmetry reduction); survivors then go through
-full isomorph rejection via canonical forms.
+full isomorph rejection via canonical forms, computed by
+individualization-refinement with automorphism pruning.
 """
 
 from __future__ import annotations
@@ -138,8 +139,19 @@ def canonical_form(g: Graph) -> str:
 
     Colors are refined by degree and per-vertex triangle count followed by
     iterated neighborhood color multisets; remaining symmetric cells are
-    broken by exhaustive individualization, and the lexicographically
-    largest adjacency encoding over all discrete leaves wins.
+    broken by individualizing the vertices of the first non-singleton cell
+    in turn, and the lexicographically largest adjacency encoding over the
+    discrete leaves wins.
+
+    The search tree is pruned by automorphisms in the style of nauty
+    (McKay & Piperno, J. Symb. Comput. 2014). A leaf whose code equals that
+    of the first leaf or of the best leaf so far yields an automorphism. At
+    a node with individualized prefix ``path``, a child is skipped when it
+    lies in the orbit of an already tried child under the group generated
+    by the stored automorphisms that fix ``path`` pointwise. That group maps
+    the tried child's subtree onto the skipped one with equal leaf codes,
+    so the maximum, and with it the result, is the one the unpruned search
+    finds.
     """
     n = g.n
     if n > MAX_CENSUS_N:
@@ -152,24 +164,36 @@ def canonical_form(g: Graph) -> str:
         for v in range(n)
     ]
     seed = [(adj[v].bit_count(), tri[v]) for v in range(n)]
-    order = {s: i for i, s in enumerate(sorted(set(seed)))}
-    colors = _refine(adj, [order[s] for s in seed])
+    colors = _refine(adj, _compress(seed))
 
-    best: list[tuple[int, ...]] = [()]
+    # (code, labeling) of the first leaf and of the best leaf so far.
+    first: tuple[tuple[int, ...], list[int]] | None = None
+    best: tuple[tuple[int, ...], list[int]] | None = None
+    automorphisms: list[list[int]] = []
 
     def leaf(cols: list[int]):
+        nonlocal first, best
         rows = [0] * n
         for v in range(n):
-            pv = cols[v]
             row = 0
             for u in _bits(adj[v]):
                 row |= 1 << cols[u]
-            rows[pv] = row
+            rows[cols[v]] = row
         code = tuple(rows)
+        if first is None:
+            first = best = (code, cols)
+            return
+        for ref_code, ref_cols in (first, best):
+            if code == ref_code:
+                ref_inv = [0] * n
+                for v, pos in enumerate(ref_cols):
+                    ref_inv[pos] = v
+                automorphisms.append([ref_inv[cols[v]] for v in range(n)])
+                return
         if code > best[0]:
-            best[0] = code
+            best = (code, cols)
 
-    def search(cols: list[int]):
+    def search(cols: list[int], path: list[int]):
         cellmap: dict[int, list[int]] = {}
         for v, c in enumerate(cols):
             cellmap.setdefault(c, []).append(v)
@@ -181,13 +205,33 @@ def canonical_form(g: Graph) -> str:
         if target is None:
             leaf(cols)
             return
-        for v in target:
-            split = [c * 2 + (0 if u == v else 1) for u, c in enumerate(cols)]
-            search(_refine(adj, _compress(split)))
+        orbit = list(range(n))  # union-find parent pointers
+        used = 0                # automorphisms already merged into orbit
 
-    search(colors)
-    canon = Graph(n, best[0])
-    return encode_graph6(canon)
+        def find(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        tried: list[int] = []
+        for v in target:
+            for gamma in automorphisms[used:]:
+                if all(gamma[p] == p for p in path):
+                    for u in range(n):
+                        a, b = find(u), find(gamma[u])
+                        if a != b:
+                            orbit[max(a, b)] = min(a, b)
+            used = len(automorphisms)
+            root = find(v)
+            if any(find(t) == root for t in tried):
+                continue
+            tried.append(v)
+            split = [c * 2 + (0 if u == v else 1) for u, c in enumerate(cols)]
+            search(_refine(adj, _compress(split)), path + [v])
+
+    search(colors, [])
+    return encode_graph6(Graph(n, best[0]))
 
 
 def _compress(values: list) -> list[int]:

@@ -1,9 +1,15 @@
 import random
+import time
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmspec.census import (
     REFERENCE_CUBIC10_HE,
+    _labeled_regular,
     canonical_form,
     census,
     census_from_graphs,
@@ -15,9 +21,22 @@ from harmspec.census import (
     truncate3,
 )
 from harmspec.families import complete, complete_bipartite, cycle, petersen
-from harmspec.graphs import build_graph, decode_graph6, degrees, encode_graph6, relabel
+from harmspec.graphs import (
+    Graph,
+    build_graph,
+    decode_graph6,
+    degrees,
+    disjoint_union,
+    encode_graph6,
+    relabel,
+)
 
-from conftest import brute_force_regular_classes, random_graph
+from conftest import (
+    brute_force_regular_classes,
+    exhaustive_canonical_form,
+    random_graph,
+    to_networkx,
+)
 
 
 class TestEnumerate:
@@ -47,8 +66,10 @@ class TestEnumerate:
     )
     def test_against_brute_force_oracle(self, n, d):
         expected = brute_force_regular_classes(n, d)
-        got = {canonical_form(g) for g in enumerate_regular(n, d)}
-        assert got == expected
+        got = [to_networkx(g) for g in enumerate_regular(n, d)]
+        assert len(got) == len(expected)
+        for h in got:
+            assert sum(nx.is_isomorphic(h, e) for e in expected) == 1
 
     def test_every_graph_is_regular_and_canonical(self):
         for n, d in [(6, 3), (8, 3), (7, 2)]:
@@ -111,6 +132,130 @@ class TestCanonicalForm:
     def test_size_limit(self):
         with pytest.raises(ValueError, match="up to n = 12"):
             canonical_form(build_graph(13, []))
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
+
+
+@st.composite
+def unions_of_complete_graphs_and_cycles(draw, max_n: int = 9):
+    """Relabeled disjoint unions of K2..K5 and C4..C6 (K3 = C3) on at most
+    max_n vertices: highly symmetric inputs on which the unpruned
+    reference search still finishes quickly."""
+    parts = []
+    room = max_n
+    while room >= 2 and (not parts or draw(st.booleans())):
+        if room >= 4 and draw(st.booleans()):
+            part = cycle(draw(st.integers(min_value=4, max_value=min(room, 6))))
+        else:
+            part = complete(draw(st.integers(min_value=2, max_value=min(room, 5))))
+        parts.append(part)
+        room -= part.n
+    g = disjoint_union(parts)
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
+class TestCanonicalReference:
+    """The pruned search agrees byte for byte with the unpruned one."""
+
+    @pytest.mark.parametrize("n,d", [(8, 3), (10, 3), (12, 2), (8, 7), (10, 2)])
+    def test_labeled_regular_graphs(self, n, d):
+        for adj in _labeled_regular(n, d):
+            g = Graph(n, adj)
+            assert canonical_form(g) == exhaustive_canonical_form(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete(8), complete_bipartite(4, 4), petersen()],
+        ids=["K8", "K4,4", "petersen"],
+    )
+    def test_symmetric_graphs(self, g):
+        assert canonical_form(g) == exhaustive_canonical_form(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8)))
+            assert canonical_form(g) == exhaustive_canonical_form(g)
+
+    @given(unions_of_complete_graphs_and_cycles())
+    @settings(max_examples=40, deadline=None)
+    def test_unions_of_complete_graphs_and_cycles(self, g):
+        assert canonical_form(g) == exhaustive_canonical_form(g)
+
+
+SYMMETRIC_12 = {
+    "K12": complete(12),
+    "K6,6": complete_bipartite(6, 6),
+    "C12": cycle(12),
+    "co-C12": complement(cycle(12)),
+    "2C6": disjoint_union([cycle(6)] * 2),
+    "3C4": disjoint_union([cycle(4)] * 3),
+    "4C3": disjoint_union([cycle(3)] * 4),
+    "6K2": disjoint_union([complete(2)] * 6),
+    "K12-6K2": complement(disjoint_union([complete(2)] * 6)),
+}
+
+
+class TestSymmetric12:
+    """Highly symmetric graphs at the top of the supported range, checked
+    against networkx isomorphism."""
+
+    @pytest.mark.parametrize("name", SYMMETRIC_12)
+    def test_key_invariant_under_relabeling(self, name):
+        g = SYMMETRIC_12[name]
+        key = canonical_form(g)
+        rng = random.Random(12)
+        for _ in range(5):
+            perm = list(range(12))
+            rng.shuffle(perm)
+            assert canonical_form(relabel(g, perm)) == key
+
+    def test_keys_equal_exactly_when_isomorphic(self):
+        rng = random.Random(12)
+        graphs = []
+        for g in SYMMETRIC_12.values():
+            perm = list(range(12))
+            rng.shuffle(perm)
+            graphs += [g, relabel(g, perm)]
+        keys = [canonical_form(g) for g in graphs]
+        nxg = [to_networkx(g) for g in graphs]
+        for i, j in combinations(range(len(graphs)), 2):
+            assert (keys[i] == keys[j]) == nx.is_isomorphic(nxg[i], nxg[j])
+
+
+def _timed_census_count(n: int, d: int) -> tuple[int, float]:
+    start = time.perf_counter()
+    count = len(enumerate_regular(n, d))
+    return count, time.perf_counter() - start
+
+
+class TestCensus12:
+    """n = 12 censuses finish within stated wall-time bounds. The bounds
+    leave a wide margin over the measured times (2-core VM, Python 3.11):
+    about 0.1 s for (12,11) and (12,2), 10 s for (12,3), 14 s for (12,10)."""
+
+    @pytest.mark.parametrize("d,classes", [(11, 1), (2, 9)])
+    def test_fast_degrees(self, d, classes):
+        count, elapsed = _timed_census_count(12, d)
+        assert count == classes
+        assert elapsed < 5.0
+
+    @pytest.mark.slow
+    def test_cubic12_count(self):
+        # OEIS A005638: 94 cubic graphs on 12 vertices, 85 of them connected.
+        count, elapsed = _timed_census_count(12, 3)
+        assert count == 94
+        assert elapsed < 60.0
+
+    @pytest.mark.slow
+    def test_degree10_count(self):
+        # The only 10-regular graph on 12 vertices is K12 minus a perfect matching.
+        count, elapsed = _timed_census_count(12, 10)
+        assert count == 1
+        assert elapsed < 90.0
 
 
 class TestCensus:
