@@ -34,10 +34,12 @@ print("harmonic index:", harmonic_index(triangle))
 print("\nharmonic index of the 3-path:", harmonic_index(path(3)))
 assert harmonic_index(path(3)) == Fraction(4, 3)
 
-# Exact characteristic polynomial, expanded and factored.
+# Exact characteristic polynomial, expanded and factored. The factored
+# form takes its candidate rational roots from the numeric spectrum and
+# keeps only those that divide the polynomial exactly.
 p = graph_char_poly(triangle)
 print("\ncharpoly of the triangle:", poly_text(p))
-print("factored:", factored_display(p))
+print("factored:", factored_display(p, harmonic_energy(triangle).spectrum))
 
 # The friendship graph with two blades: apex degree 4, spoke weights 1/3.
 f2 = friendship(2)

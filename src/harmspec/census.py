@@ -6,7 +6,9 @@ Enumeration is a backtracking search over adjacency rows with remaining
 degree pruning, restricted to labelings that introduce unseen vertices in
 increasing order (a sound symmetry reduction); survivors then go through
 full isomorph rejection via canonical forms, computed by
-individualization-refinement with automorphism pruning.
+individualization-refinement with automorphism pruning. A degree d with
+2d > n - 1 is enumerated through the complements of the labeled
+(n-1-d)-regular graphs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
-from .graphs import Graph, _bits, components, decode_graph6, encode_graph6
+from .graphs import Graph, _bits, complement, components, decode_graph6, encode_graph6
 from .spectrum import harmonic_energy
 
 MAX_CENSUS_N = 12
@@ -69,9 +71,16 @@ def enumerate_regular(n: int, d: int) -> list[Graph]:
         raise ValueError(f"infeasible: n*d = {n * d} must be even")
     if n > MAX_CENSUS_N:
         raise ValueError(f"enumeration is supported up to n = {MAX_CENSUS_N}, got {n}")
+    if 2 * d > n - 1:
+        # Complementing the labeled (n-1-d)-regular graphs, which are far
+        # fewer, reaches every d-regular class; keying each by its own
+        # canonical form keeps the representatives of direct enumeration.
+        labeled = (complement(Graph(n, adj)) for adj in _labeled_regular(n, n - 1 - d))
+    else:
+        labeled = (Graph(n, adj) for adj in _labeled_regular(n, d))
     reps: dict[str, Graph] = {}
-    for adj in _labeled_regular(n, d):
-        key = canonical_form(Graph(n, adj))
+    for g in labeled:
+        key = canonical_form(g)
         if key not in reps:
             reps[key] = decode_graph6(key)
     return [reps[k] for k in sorted(reps)]

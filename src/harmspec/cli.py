@@ -22,11 +22,11 @@ from .census import (
     records_csv,
     truncate3,
 )
-from .charpoly import factored_display, graph_char_poly, poly_json, poly_text
+from .charpoly import char_poly, factored_display, poly_json, poly_text
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import Graph, encode_graph6, read_graph6_file
 from .harmonic import harmonic_index, harmonic_matrix, matrix_json, matrix_text
-from .spectrum import DEFAULT_TOL, harmonic_energy, spectrum_json
+from .spectrum import DEFAULT_TOL, eigenvalues_symmetric, harmonic_energy, spectrum_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,8 +158,9 @@ def _cmd_charpoly(args) -> int:
     graphs = _family_graphs(args)
     blocks, payloads = [], []
     for g in graphs:
-        p = graph_char_poly(g)
-        factored = factored_display(p)
+        m = harmonic_matrix(g)
+        p = char_poly(m)
+        factored = factored_display(p, eigenvalues_symmetric(m))
         blocks.append(f"{poly_text(p)}\n  = {factored}")
         payload = poly_json(p)
         payload["factored"] = factored

@@ -111,6 +111,12 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def complement(g: Graph) -> Graph:
+    """The graph on the same vertices whose edges are g's non-edges."""
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
+
+
 def degrees(g: Graph) -> list[int]:
     """Degree of every vertex, indexed by vertex id."""
     return [row.bit_count() for row in g.adj]

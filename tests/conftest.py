@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -125,6 +126,78 @@ def exhaustive_canonical_form(g: Graph) -> str:
 
     search(colors)
     return encode_graph6(Graph(n, best[0]))
+
+
+def divisor_rational_roots(p) -> list:
+    """Reference rational-root search: every p/q with p dividing the
+    constant term and q dividing the leading coefficient of the
+    denominator-cleared polynomial, confirmed by exact deflation. Trial
+    division stops at 1e5 and takes the cofactor as prime, so it can miss
+    roots of polynomials with large coefficients; it is a reference only
+    where those coefficients are smooth."""
+    from harmspec.charpoly import RatPoly, _deflate
+
+    def divisors(n: int) -> list[int]:
+        if n == 0:
+            return [1]
+        factors: dict[int, int] = {}
+        m = n
+        d = 2
+        while d * d <= m and d <= 100_000:
+            while m % d == 0:
+                factors[d] = factors.get(d, 0) + 1
+                m //= d
+            d += 1
+        if m > 1:
+            factors[m] = factors.get(m, 0) + 1
+        divs = [1]
+        for prime, mult in factors.items():
+            divs = [dv * prime**e for dv in divs for e in range(mult + 1)]
+        return sorted(divs)
+
+    if p.is_zero or p.degree == 0:
+        return []
+    zero_mult = 0
+    coeffs = list(p.coeffs)
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+        zero_mult += 1
+    roots = [(Fraction(0), zero_mult)] if zero_mult else []
+    q = RatPoly(coeffs)
+    if q.degree >= 1:
+        scale = math.lcm(*(c.denominator for c in q.coeffs))
+        ints = [int(c * scale) for c in q.coeffs]
+        mags = {Fraction(a, b) for a in divisors(abs(ints[0])) for b in divisors(abs(ints[-1]))}
+        for cand in sorted(mags | {-c for c in mags}):
+            mult = 0
+            while q.degree >= 1 and q.evaluate(cand) == 0:
+                q = _deflate(q, cand)
+                mult += 1
+            if mult:
+                roots.append((cand, mult))
+    roots.sort(key=lambda rm: rm[0], reverse=True)
+    return roots
+
+
+def audit_exact_polynomial_graphs() -> list[Graph]:
+    """Every graph whose exact characteristic polynomial the audit checks:
+    the grid points of the exact-polynomial rows and the disjoint unions
+    of the union lemma, without repeats."""
+    from harmspec import audit
+    from harmspec.graphs import disjoint_union, encode_graph6
+
+    graphs = {}
+    for claim in audit.CLAIMS.values():
+        if claim.kind != "exact-polynomial" or not isinstance(claim.check, functools.partial):
+            continue
+        case = claim.check.args[0]
+        for point in claim.grid:
+            g = case(**dict(point))[1]
+            graphs[encode_graph6(g)] = g
+    for _, make_a, _, make_b in audit._UNION_PAIRS:
+        g = disjoint_union([make_a(), make_b()])
+        graphs[encode_graph6(g)] = g
+    return list(graphs.values())
 
 
 @pytest.fixture(scope="session")

