@@ -4,8 +4,8 @@ Closed-form characteristic polynomials per graph family
 
 Every named family ships with the published closed form for its harmonic
 characteristic polynomial. Some of those formulas are exactly right, some
-are not; comparing them against the exact oracle (Faddeev-LeVerrier over
-rationals) is a one-liner.
+are not; comparing them against the exact characteristic polynomial over
+the rationals is a one-liner.
 """
 
 from harmspec import graph_char_poly, poly_text, tridiag_charpoly

@@ -128,6 +128,36 @@ def exhaustive_canonical_form(g: Graph) -> str:
     return encode_graph6(Graph(n, best[0]))
 
 
+def faddeev_leverrier_char_poly(matrix):
+    """Reference characteristic polynomial det(xI - M): the Faddeev-LeVerrier
+    trace recursion on the denominator-cleared integer matrix A = scale*M,
+    O(n^4) big-integer work, exact without any modular step."""
+    from harmspec.charpoly import RatPoly
+
+    n = len(matrix)
+    if n == 0:
+        return RatPoly.one()
+    entries = [[Fraction(x) for x in row] for row in matrix]
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    a = [[int(x * scale) for x in row] for row in entries]
+
+    # M_1 = I, c_{n-k} = -tr(A M_k)/k, M_{k+1} = A M_k + c_{n-k} I, with
+    # M_k kept as a list of columns (column j of A M_k needs only column j
+    # of M_k).
+    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    cs = [0] * (n + 1)
+    cs[n] = 1
+    for k in range(1, n + 1):
+        for j, col in enumerate(cols):
+            cols[j] = [sum(x * y for x, y in zip(row, col)) for row in a]
+        q, r = divmod(-sum(cols[i][i] for i in range(n)), k)
+        assert r == 0, "the trace of A M_k is divisible by k"
+        cs[n - k] = q
+        for i in range(n):
+            cols[i][i] += q
+    return RatPoly([Fraction(cs[i], scale ** (n - i)) for i in range(n + 1)])
+
+
 def divisor_rational_roots(p) -> list:
     """Reference rational-root search: every p/q with p dividing the
     constant term and q dividing the leading coefficient of the

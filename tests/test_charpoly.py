@@ -50,6 +50,7 @@ from conftest import (
     audit_exact_polynomial_graphs,
     divisor_rational_roots,
     exact_det,
+    faddeev_leverrier_char_poly,
     graph_strategy,
     random_graph,
 )
@@ -399,7 +400,15 @@ class TestDivisorReference:
     def _assert_same_display(graphs, monkeypatch):
         polys = [(graph_char_poly(g), _spectrum(g)) for g in graphs]
         got = [factored_display(p, s) for p, s in polys]
-        monkeypatch.setattr(charpoly, "rational_roots", lambda p, approx: divisor_rational_roots(p))
+
+        def divisor_split(p, approx):
+            roots = divisor_rational_roots(p)
+            for root, mult in roots:
+                for _ in range(mult):
+                    p = _deflate(p, root)
+            return roots, p
+
+        monkeypatch.setattr(charpoly, "_split_rational_roots", divisor_split)
         assert got == [factored_display(p, s) for p, s in polys]
 
     def test_audit_graphs(self, monkeypatch):
@@ -408,3 +417,163 @@ class TestDivisorReference:
     def test_cubic_census_graphs(self, monkeypatch, cubic10):
         graphs = enumerate_regular(8, 3) + [decode_graph6(r.graph6) for r in cubic10[0]]
         self._assert_same_display(graphs, monkeypatch)
+
+
+@st.composite
+def rational_matrix(draw):
+    """A square, generally non-symmetric rational matrix of order at most 6
+    whose entries are zero or fractions with numerators up to 10^25 in
+    absolute value and denominators up to 10^15."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-10**25, 10**25), st.integers(1, 10**15)),
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+def _sympy_char_poly(m) -> RatPoly:
+    import sympy
+
+    x = sympy.Symbol("x")
+    rows = [[sympy.Rational(v.numerator, v.denominator) for v in map(Fraction, row)] for row in m]
+    coeffs = sympy.Matrix(rows).charpoly(x).all_coeffs()
+    return RatPoly([Fraction(int(c.p), int(c.q)) for c in reversed(coeffs)])
+
+
+class TestCharPolyReference:
+    """char_poly equals the Faddeev-LeVerrier reference kept in conftest."""
+
+    @staticmethod
+    def _assert_reference(m):
+        assert char_poly(m) == faddeev_leverrier_char_poly(m)
+
+    def test_audit_graphs(self):
+        for g in audit_exact_polynomial_graphs():
+            self._assert_reference(harmonic_matrix(g))
+
+    def test_cubic_census_graphs(self, cubic10):
+        for record in cubic10[0]:
+            self._assert_reference(harmonic_matrix(decode_graph6(record.graph6)))
+
+    def test_random_graphs(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(1, 30), rng.choice((0.1, 0.3, 0.5, 0.9)))
+            self._assert_reference(harmonic_matrix(g))
+
+    @given(rational_matrix())
+    @settings(max_examples=60, deadline=None)
+    def test_rational_matrices(self, m):
+        self._assert_reference(m)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_sympy_and_determinant(self, case):
+        rng = random.Random(case)
+        if case < 2:
+            m = harmonic_matrix(random_graph(rng, 9 + case, 0.5))
+        else:
+            m = [[Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**9))
+                  for _ in range(5)] for _ in range(5)]
+        p = char_poly(m)
+        assert p == _sympy_char_poly(m)
+        for t in (Fraction(0), Fraction(-2, 3), Fraction(7, 5)):
+            shifted = [[(t if i == j else 0) - m[i][j] for j in range(len(m))]
+                       for i in range(len(m))]
+            assert p.evaluate(t) == exact_det(shifted)
+
+    @pytest.mark.slow
+    def test_order64(self):
+        self._assert_reference(harmonic_matrix(random_graph(random.Random(64), 64, 0.5)))
+
+
+# The largest prime below 2^31 and the next one down: the first two primes
+# of the modular reduction.
+_P1 = 2**31 - 1
+_P2 = 2**31 - 19
+
+
+class TestModularCharPoly:
+    """Inputs that each break one part of the modular algorithm: the pivot
+    choice, the coefficient bound, the residue table, the zero columns."""
+
+    def test_pivot_vanishing_modulo_one_prime(self):
+        # Column 0 has the subdiagonal pivot 2^31 - 1, zero modulo the
+        # first prime only, which must pivot on the row below instead.
+        m = [[1, 2, 3, 4], [_P1, 5, 6, 7], [8, 9, 10, 11], [12, _P1, 13, 14]]
+        assert char_poly(m) == faddeev_leverrier_char_poly(m)
+        assert char_poly(m) == _sympy_char_poly(m)
+
+    def test_entries_and_denominators_beyond_int64(self):
+        m = [[Fraction(3**50, 2**64 + 13), Fraction(-(2**70) - 1, 7), 0],
+             [Fraction(5, 3**41), Fraction(2**65 + 1), Fraction(-1, 2**66 + 1)],
+             [Fraction(-(10**30)), Fraction(1, 2**64 + 13), Fraction(11, 13)]]
+        assert char_poly(m) == faddeev_leverrier_char_poly(m)
+        assert char_poly(m) == _sympy_char_poly(m)
+
+    def test_large_diagonal(self):
+        # Constant term -N^5 against the bound (N + 2)^5.
+        n, big = 5, 10**40 + 1
+        m = [[big if i == j else 0 for j in range(n)] for i in range(n)]
+        assert char_poly(m) == (X - big) ** n
+
+    def test_constant_term_needs_the_factor_two(self):
+        # The product of the first two primes exceeds the bound N + 2 on
+        # the constant term -N but not twice it, so the reconstruction
+        # needs a third prime to recover the sign.
+        import sympy
+
+        assert sympy.prevprime(_P1) == _P2 and sympy.isprime(_P1)
+        big = _P1 * _P2 // 2 + 1
+        assert big + 2 < _P1 * _P2 < 2 * (big + 2)
+        assert char_poly([[big]]) == X - big
+
+    def test_hadamard_rows_reach_the_norm_bound(self):
+        # N times a 4x4 Hadamard matrix has determinant 16 N^4, which the
+        # row norms bound and the largest entries, (N + 1)^4, do not. N is
+        # chosen so that three primes cover twice the latter but not the
+        # determinant.
+        import sympy
+
+        primes = [_P1, _P2, sympy.prevprime(_P2)]
+        product = math.prod(primes)
+        big = math.isqrt(math.isqrt(product // 8))
+        assert 2 * (big + 1) ** 4 < product < 2 * 16 * big**4
+        signs = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+        m = [[big * s for s in row] for row in signs]
+        assert char_poly(m).coefficient(0) == 16 * big**4
+        assert char_poly(m) == faddeev_leverrier_char_poly(m)
+
+    def test_block_diagonal(self):
+        blocks = [[[Fraction(3, 2)]], [[1, 2], [3, 4]], [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                  [[Fraction(-1, 3)]]]
+        n = sum(len(b) for b in blocks)
+        m = [[0] * n for _ in range(n)]
+        at = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                m[at + i][at:at + len(b)] = row
+            at += len(b)
+        expected = RatPoly.one()
+        for b in blocks:
+            expected = expected * faddeev_leverrier_char_poly(b)
+        assert char_poly(m) == expected == faddeev_leverrier_char_poly(m)
+
+    def test_order_one(self):
+        assert char_poly([[Fraction(-3, 7)]]) == X + Fraction(3, 7)
+        assert char_poly([[0]]) == X
+
+    @pytest.mark.parametrize("lane", [0, -1], ids=["reconstruction-prime", "check-prime"])
+    def test_corrupted_residues_raise(self, monkeypatch, lane):
+        # The Petersen matrix needs fewer primes than one chunk holds, so a
+        # single call returns the residues of every prime, the check last.
+        reduce = charpoly._hessenberg_char_poly
+
+        def corrupt(h, primes):
+            out = reduce(h, primes)
+            out[lane, 0] = (out[lane, 0] + 1) % primes[lane]
+            return out
+
+        monkeypatch.setattr(charpoly, "_hessenberg_char_poly", corrupt)
+        with pytest.raises(ArithmeticError, match="lost exactness"):
+            graph_char_poly(petersen())

