@@ -11,12 +11,10 @@ from .census import (
     census_from_graphs,
     compare_reference_table,
     enumerate_regular,
-    isomorphic,
 )
 from .charpoly import (
     RatPoly,
     char_poly,
-    closed_form,
     factored_display,
     graph_char_poly,
     poly_text,
@@ -40,8 +38,6 @@ from .spectrum import (
     Spectrum,
     eigenvalues_symmetric,
     harmonic_energy,
-    newton_check,
-    regular_shortcut_energy,
 )
 
 __version__ = "0.1.0"
@@ -63,7 +59,6 @@ __all__ = [
     "census",
     "census_from_graphs",
     "char_poly",
-    "closed_form",
     "compare_reference_table",
     "components",
     "decode_graph6",
@@ -78,10 +73,7 @@ __all__ = [
     "harmonic_energy",
     "harmonic_index",
     "harmonic_matrix",
-    "isomorphic",
-    "newton_check",
     "poly_text",
-    "regular_shortcut_energy",
     "relabel",
     "tridiag_charpoly",
 ]

@@ -261,13 +261,6 @@ def _refine(adj: tuple[int, ...], colors: list[int]) -> list[int]:
         colors = new
 
 
-def isomorphic(a: Graph, b: Graph) -> bool:
-    """Isomorphism test for small graphs via canonical forms."""
-    if a.n != b.n or a.edge_count != b.edge_count:
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
 # ---------------------------------------------------------------------------
 # Census records and energy classes
 # ---------------------------------------------------------------------------

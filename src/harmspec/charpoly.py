@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .families import FamilySpec
 from .graphs import Graph
 
 Rat = int | Fraction
@@ -487,44 +486,6 @@ def closed_form_petersen() -> RatPoly:
     return (x - 1) * (x + Fraction(2, 3)) ** 4 * (x - Fraction(1, 3)) ** 5
 
 
-def closed_form(spec: FamilySpec, path_variant: str = "proof") -> RatPoly:
-    """Dispatch to the published closed form for a family spec.
-
-    For paths two textual variants exist; ``path_variant`` selects
-    "statement" or "proof" (default). Dutch windmills dispatch to the
-    dedicated 4- and 5-cycle formulas when m is 4 or 5, otherwise to the
-    general claimed factorization.
-    """
-    fam = spec.family
-    if fam == "path":
-        if path_variant == "statement":
-            return closed_form_path_statement(spec.n)
-        if path_variant == "proof":
-            return closed_form_path_proof(spec.n)
-        raise ValueError(f"unknown path variant {path_variant!r}")
-    if fam == "cycle":
-        return closed_form_cycle(spec.n)
-    if fam == "star":
-        return closed_form_star(spec.n)
-    if fam == "complete":
-        return closed_form_complete(spec.n)
-    if fam == "complete_bipartite":
-        return closed_form_complete_bipartite(spec.m, spec.n)
-    if fam == "friendship":
-        return closed_form_friendship(spec.n)
-    if fam == "dutch_windmill":
-        if spec.m == 4:
-            return closed_form_windmill4(spec.n)
-        if spec.m == 5:
-            return closed_form_windmill5(spec.n)
-        return closed_form_windmill_product(spec.m, spec.n)
-    if fam == "book":
-        return closed_form_book(spec.n)
-    if fam == "petersen":
-        return closed_form_petersen()
-    raise ValueError(f"no closed form registered for family {spec.family!r}")
-
-
 def graph_char_poly(g: Graph) -> RatPoly:
     """Exact characteristic polynomial of the harmonic matrix of g."""
     from .harmonic import harmonic_matrix
@@ -594,7 +555,7 @@ def _deflate(p: RatPoly, root: Fraction) -> RatPoly:
     return RatPoly(list(reversed(out[:-1])))
 
 
-def poly_text(p: RatPoly, var: str = "λ") -> str:
+def poly_text(p: RatPoly) -> str:
     """Expanded human-readable form, highest power first."""
     if p.is_zero:
         return "0"
@@ -608,7 +569,7 @@ def poly_text(p: RatPoly, var: str = "λ") -> str:
         if k == 0:
             body = str(mag)
         else:
-            xpow = var if k == 1 else f"{var}^{k}"
+            xpow = "λ" if k == 1 else f"λ^{k}"
             body = xpow if mag == 1 else f"{mag} {xpow}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
@@ -617,8 +578,8 @@ def poly_text(p: RatPoly, var: str = "λ") -> str:
     return " ".join(parts)
 
 
-def factored_display(p: RatPoly, approx: Iterable[float], var: str = "λ") -> str:
-    """Product of (var - r)^m factors over the rational roots that
+def factored_display(p: RatPoly, approx: Iterable[float]) -> str:
+    """Product of (λ - r)^m factors over the rational roots that
     ``rational_roots(p, approx)`` finds, times the remaining factor printed
     expanded. The display is an exact identity for any ``approx``."""
     if p.is_zero:
@@ -629,14 +590,14 @@ def factored_display(p: RatPoly, approx: Iterable[float], var: str = "λ") -> st
     parts = []
     for root, mult in roots:
         if root == 0:
-            base = var
+            base = "λ"
         elif root > 0:
-            base = f"({var} - {root})"
+            base = f"(λ - {root})"
         else:
-            base = f"({var} + {-root})"
+            base = f"(λ + {-root})"
         parts.append(base if mult == 1 else f"{base}^{mult}")
     if q.degree >= 1:
-        body = poly_text(q, var)
+        body = poly_text(q)
         parts.append(f"({body})" if parts else body)
     elif q != RatPoly.one() or not parts:
         # Constant factor left over (non-monic input or constant poly).

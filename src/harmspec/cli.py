@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument("--decimals", type=int, default=7)
 
     audit = subs.add_parser("audit", help="audit registered claims against the oracles")
-    audit.add_argument("--all", action="store_true", help="run the full registry (default)")
     audit.add_argument("--claim", action="append", help="restrict to this claim id (repeatable)")
     audit.add_argument("--baseline", help="baseline file to compare against (default: packaged)")
     audit.add_argument("--write-baseline", dest="write_baseline",
@@ -178,7 +177,7 @@ def _cmd_energy(args) -> int:
         spect = ", ".join(f"{x:.{dec}f}" for x in report.spectrum.eigenvalues)
         blocks.append(
             f"graph6: {report.graph6}\nHE = {report.he:.{dec}f}\nspectrum: [{spect}]\n"
-            f"method: {report.method}, sweeps: {report.spectrum.sweeps}, "
+            f"method: jacobi, sweeps: {report.spectrum.sweeps}, "
             f"off-norm: {report.spectrum.off_norm:.3e}"
         )
         payloads.append(spectrum_json(report))

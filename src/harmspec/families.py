@@ -11,19 +11,6 @@ from dataclasses import dataclass
 
 from .graphs import Graph, build_graph
 
-FAMILIES = (
-    "path",
-    "cycle",
-    "complete",
-    "star",
-    "complete_bipartite",
-    "friendship",
-    "dutch_windmill",
-    "book",
-    "petersen",
-)
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A family tag plus its integer parameters.
@@ -114,28 +101,28 @@ def petersen() -> Graph:
     return build_graph(10, edges)
 
 
+# Each family's constructor and the FamilySpec fields it takes, in call order.
+_BUILDERS = {
+    "path": (path, ("n",)),
+    "cycle": (cycle, ("n",)),
+    "complete": (complete, ("n",)),
+    "star": (star, ("n",)),
+    "complete_bipartite": (complete_bipartite, ("m", "n")),
+    "friendship": (friendship, ("n",)),
+    "dutch_windmill": (dutch_windmill, ("m", "n")),
+    "book": (book, ("n",)),
+    "petersen": (petersen, ()),
+}
+FAMILIES = tuple(_BUILDERS)
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph described by a FamilySpec, validating parameters."""
     fam = spec.family
-    if fam == "path":
-        return path(_arg(spec, "n"))
-    if fam == "cycle":
-        return cycle(_arg(spec, "n"))
-    if fam == "complete":
-        return complete(_arg(spec, "n"))
-    if fam == "star":
-        return star(_arg(spec, "n"))
-    if fam == "complete_bipartite":
-        return complete_bipartite(_arg(spec, "m"), _arg(spec, "n"))
-    if fam == "friendship":
-        return friendship(_arg(spec, "n"))
-    if fam == "dutch_windmill":
-        return dutch_windmill(_arg(spec, "m"), _arg(spec, "n"))
-    if fam == "book":
-        return book(_arg(spec, "n"))
-    if fam == "petersen":
-        return petersen()
-    raise ValueError(f"unknown family {fam!r}; known families: {', '.join(FAMILIES)}")
+    if fam not in _BUILDERS:
+        raise ValueError(f"unknown family {fam!r}; known families: {', '.join(FAMILIES)}")
+    build, fields = _BUILDERS[fam]
+    return build(*(_arg(spec, name) for name in fields))
 
 
 def _arg(spec: FamilySpec, name: str) -> int:

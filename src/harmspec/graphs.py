@@ -55,9 +55,6 @@ class Graph:
                 f"adjacency has {len(self.adj)} rows for {self.n} vertices"
             )
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def neighbors(self, v: int) -> Iterator[int]:
         return _bits(self.adj[v])
 
@@ -161,11 +158,6 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
         rows.extend(row << offset for row in p.adj)
         offset += p.n
     return Graph(total, tuple(rows))
-
-
-def adjacency_matrix(g: Graph) -> list[list[int]]:
-    """Dense 0/1 adjacency matrix."""
-    return [[g.adj[i] >> j & 1 for j in range(g.n)] for i in range(g.n)]
 
 
 # ---------------------------------------------------------------------------

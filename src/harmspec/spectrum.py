@@ -10,15 +10,13 @@ and every tolerance is relative to the Frobenius norm.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .charpoly import RatPoly
-from .graphs import Graph, adjacency_matrix, degrees, encode_graph6
+from .graphs import Graph, encode_graph6
 from .harmonic import harmonic_matrix
 
 DEFAULT_TOL = 1e-12
@@ -55,11 +53,10 @@ class Spectrum:
 @dataclass(frozen=True)
 class EnergyReport:
     """Harmonic energy of one graph: the energy value, the graph6
-    fingerprint of the input, the method tag, and the full spectrum."""
+    fingerprint of the input, and the full spectrum."""
 
     he: float
     graph6: str
-    method: str
     spectrum: Spectrum
 
 
@@ -144,94 +141,13 @@ def harmonic_energy(g: Graph, tol: float = DEFAULT_TOL) -> EnergyReport:
     """Sum of absolute eigenvalues of the harmonic matrix."""
     spec = eigenvalues_symmetric(harmonic_matrix(g), tol)
     he = float(sum(abs(x) for x in spec.eigenvalues))
-    return EnergyReport(he, encode_graph6(g), "jacobi", spec)
-
-
-def adjacency_energy(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """Classic graph energy: sum of absolute adjacency eigenvalues."""
-    spec = eigenvalues_symmetric(adjacency_matrix(g), tol)
-    return float(sum(abs(x) for x in spec.eigenvalues))
-
-
-def regular_shortcut_energy(g: Graph, tol: float = DEFAULT_TOL) -> EnergyReport:
-    """Harmonic energy of a d-regular graph via its adjacency spectrum.
-
-    For a d-regular graph the harmonic matrix is the adjacency matrix
-    scaled by 1/d, so the harmonic energy is the graph energy divided
-    by d. Rejects non-regular input, naming the degree multiset.
-    """
-    degs = degrees(g)
-    distinct = sorted(set(degs))
-    if len(distinct) != 1 or distinct[0] < 1:
-        multiset = dict(sorted(Counter(degs).items()))
-        raise ValueError(
-            f"regular shortcut needs a d-regular graph with d >= 1; degree multiset {multiset}"
-        )
-    d = distinct[0]
-    spec = eigenvalues_symmetric(adjacency_matrix(g), tol)
-    scaled = Spectrum(
-        tuple(x / d for x in spec.eigenvalues), spec.off_norm / d, spec.sweeps
-    )
-    he = float(sum(abs(x) for x in scaled.eigenvalues))
-    return EnergyReport(he, encode_graph6(g), "regular-shortcut", scaled)
-
-
-@dataclass(frozen=True)
-class NewtonReport:
-    """Consistency between an exact polynomial and a numeric spectrum."""
-
-    max_root_residual: float
-    power_sum_mismatch: tuple[float, float, float]
-
-
-def newton_check(p: RatPoly, s: Spectrum | Sequence[float]) -> NewtonReport:
-    """Report how well a numeric spectrum matches an exact polynomial.
-
-    max_root_residual is max |p(e)| over the eigenvalues, scaled by the
-    Euclidean norm of the coefficient vector. The power-sum entries compare
-    sum(e^k) for k = 1, 2, 3 against the Newton-identity values implied by
-    the top coefficients of p.
-    """
-    eig = list(s.eigenvalues if isinstance(s, Spectrum) else s)
-    if p.degree != len(eig):
-        raise ValueError(
-            f"polynomial degree {p.degree} does not match spectrum length {len(eig)}"
-        )
-    coeffs = [float(c) for c in p.coeffs]
-    norm = math.sqrt(sum(c * c for c in coeffs)) or 1.0
-    max_res = max((abs(_horner(coeffs, x)) for x in eig), default=0.0) / norm
-
-    n = p.degree
-    # Monic normalization, then elementary symmetric functions from the top
-    # coefficients: e_k = (-1)^k * a_{n-k}.
-    lead = float(p.leading) if not p.is_zero else 1.0
-    a = [float(p.coefficient(n - k)) / lead for k in range(0, 4)]
-    e1 = -a[1] if n >= 1 else 0.0
-    e2 = a[2] if n >= 2 else 0.0
-    e3 = -a[3] if n >= 3 else 0.0
-    p1 = e1
-    p2 = e1 * p1 - 2 * e2
-    p3 = e1 * p2 - e2 * p1 + 3 * e3
-    s1 = sum(eig)
-    s2 = sum(x * x for x in eig)
-    s3 = sum(x**3 for x in eig)
-    return NewtonReport(
-        max_root_residual=max_res,
-        power_sum_mismatch=(abs(s1 - p1), abs(s2 - p2), abs(s3 - p3)),
-    )
-
-
-def _horner(coeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+    return EnergyReport(he, encode_graph6(g), spec)
 
 
 def spectrum_json(report: EnergyReport) -> dict:
     return {
         "graph6": report.graph6,
-        "method": report.method,
+        "method": "jacobi",
         "he": report.he,
         "eigenvalues": list(report.spectrum.eigenvalues),
         "off_norm": report.spectrum.off_norm,

@@ -13,7 +13,6 @@ from harmspec.charpoly import (
     RatPoly,
     _deflate,
     char_poly,
-    closed_form,
     closed_form_complete,
     closed_form_complete_bipartite,
     closed_form_cycle,
@@ -32,7 +31,6 @@ from harmspec.charpoly import (
     tridiag_charpoly,
 )
 from harmspec.families import (
-    FamilySpec,
     complete,
     complete_bipartite,
     cycle,
@@ -220,14 +218,6 @@ class TestClosedForms:
 
     def test_petersen_closed_form(self):
         assert closed_form_petersen() == graph_char_poly(petersen())
-
-    def test_dispatch(self):
-        assert closed_form(FamilySpec("cycle", n=5)) == closed_form_cycle(5)
-        assert closed_form(FamilySpec("path", n=6)) == closed_form_path_proof(6)
-        assert closed_form(
-            FamilySpec("path", n=6), path_variant="statement"
-        ) == closed_form_path_statement(6)
-        assert closed_form(FamilySpec("dutch_windmill", m=4, n=2)) == closed_form_windmill4(2)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

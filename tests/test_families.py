@@ -1,7 +1,11 @@
+import argparse
+
 import pytest
 
-from harmspec.census import canonical_form, isomorphic
+from harmspec.census import canonical_form
+from harmspec.cli import build_parser
 from harmspec.families import (
+    FAMILIES,
     FamilySpec,
     book,
     complete,
@@ -65,18 +69,18 @@ def test_apex_and_hub_degrees():
 
 def test_windmill_one_blade_is_cycle():
     for m in range(3, 9):
-        assert isomorphic(dutch_windmill(m, 1), cycle(m))
+        assert canonical_form(dutch_windmill(m, 1)) == canonical_form(cycle(m))
 
 
 def test_degenerate_members():
-    assert isomorphic(friendship(1), complete(3))
-    assert isomorphic(book(1), cycle(4))
-    assert isomorphic(dutch_windmill(3, 2), friendship(2))
+    assert canonical_form(friendship(1)) == canonical_form(complete(3))
+    assert canonical_form(book(1)) == canonical_form(cycle(4))
+    assert canonical_form(dutch_windmill(3, 2)) == canonical_form(friendship(2))
 
 
 def test_star_is_complete_bipartite():
     for n in range(2, 10):
-        assert isomorphic(star(n), complete_bipartite(1, n - 1))
+        assert canonical_form(star(n)) == canonical_form(complete_bipartite(1, n - 1))
 
 
 def test_petersen_shape():
@@ -107,10 +111,40 @@ def _girth(g):
     return best
 
 
+# One valid spec per family, in the documented family order, with the
+# direct constructor call it must build. The two-parameter families use
+# m != n, so a swapped argument order builds a different labeling.
+DISPATCH_CASES = [
+    (FamilySpec("path", n=6), lambda: path(6)),
+    (FamilySpec("cycle", n=5), lambda: cycle(5)),
+    (FamilySpec("complete", n=4), lambda: complete(4)),
+    (FamilySpec("star", n=5), lambda: star(5)),
+    (FamilySpec("complete_bipartite", m=2, n=3), lambda: complete_bipartite(2, 3)),
+    (FamilySpec("friendship", n=2), lambda: friendship(2)),
+    (FamilySpec("dutch_windmill", m=4, n=3), lambda: dutch_windmill(4, 3)),
+    (FamilySpec("book", n=3), lambda: book(3)),
+    (FamilySpec("petersen"), petersen),
+]
+
+
 def test_generate_dispatch():
-    assert generate(FamilySpec("petersen")).n == 10
-    assert generate(FamilySpec("complete_bipartite", n=3, m=2)).n == 5
-    assert generate(FamilySpec("dutch_windmill", n=2, m=4)).edge_count == 8
+    assert tuple(spec.family for spec, _ in DISPATCH_CASES) == FAMILIES
+    for spec, direct in DISPATCH_CASES:
+        assert generate(spec) == direct(), spec.family
+
+
+def test_cli_family_choices_follow_families():
+    subcommands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    family_choices = [
+        action.choices
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        if action.dest == "family"
+    ]
+    assert len(family_choices) == 5
+    assert all(list(choices) == list(FAMILIES) for choices in family_choices)
 
 
 @pytest.mark.parametrize(

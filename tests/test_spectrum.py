@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from harmspec.charpoly import RatPoly, graph_char_poly
 from harmspec.families import (
     complete,
     complete_bipartite,
@@ -20,12 +19,10 @@ from harmspec.harmonic import harmonic_matrix
 from harmspec.spectrum import (
     JacobiConvergenceError,
     Spectrum,
-    adjacency_energy,
     eigenvalues_symmetric,
     harmonic_energy,
     jacobi_eigenvalues,
-    newton_check,
-    regular_shortcut_energy,
+    spectrum_json,
 )
 
 from conftest import graph_strategy, random_graph
@@ -94,7 +91,7 @@ class TestHarmonicEnergy:
     def test_petersen(self):
         rep = harmonic_energy(petersen())
         assert abs(rep.he - 16.0 / 3.0) < 1e-9
-        assert rep.method == "jacobi"
+        assert spectrum_json(rep)["method"] == "jacobi"
 
     def test_edgeless_is_zero(self):
         assert harmonic_energy(build_graph(5, [])).he == 0.0
@@ -104,54 +101,6 @@ class TestHarmonicEnergy:
 
         g = cycle(5)
         assert harmonic_energy(g).graph6 == encode_graph6(g)
-
-
-class TestRegularShortcut:
-    def test_cycle(self):
-        for n in range(3, 10):
-            rep = regular_shortcut_energy(cycle(n))
-            direct = harmonic_energy(cycle(n))
-            assert abs(rep.he - direct.he) < 1e-9
-            assert rep.method == "regular-shortcut"
-            assert abs(rep.he - adjacency_energy(cycle(n)) / 2) < 1e-12
-
-    def test_union_of_cubic_parts(self):
-        g = disjoint_union([complete(4), complete_bipartite(3, 3)])
-        rep = regular_shortcut_energy(g)
-        assert abs(rep.he - 4.0) < 1e-9
-
-    def test_non_regular_rejected(self):
-        with pytest.raises(ValueError, match=r"degree multiset \{1: 2, 2: 1\}"):
-            regular_shortcut_energy(path(3))
-
-    def test_edgeless_rejected(self):
-        with pytest.raises(ValueError, match="d >= 1"):
-            regular_shortcut_energy(build_graph(3, []))
-
-
-class TestNewtonCheck:
-    def test_petersen_consistency(self):
-        p = graph_char_poly(petersen())
-        s = eigenvalues_symmetric(harmonic_matrix(petersen()))
-        report = newton_check(p, s)
-        assert report.max_root_residual < 1e-9
-        assert all(x < 1e-9 for x in report.power_sum_mismatch)
-
-    def test_trivial_square(self):
-        report = newton_check(RatPoly.monomial(2), [0.0, 0.0])
-        assert report.max_root_residual == 0.0
-        assert report.power_sum_mismatch == (0.0, 0.0, 0.0)
-
-    def test_perturbed_spectrum_detected(self):
-        p = graph_char_poly(petersen())
-        s = eigenvalues_symmetric(harmonic_matrix(petersen()))
-        bad = [x + 1e-3 for x in s.eigenvalues]
-        report = newton_check(p, bad)
-        assert report.max_root_residual > 1e-6
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="degree"):
-            newton_check(RatPoly.monomial(3), [0.0, 0.0])
 
 
 class TestSpectralProperties:
