@@ -544,15 +544,25 @@ def _split_rational_roots(
 
 
 def _deflate(p: RatPoly, root: Fraction) -> RatPoly:
-    """Exact synthetic division of p by (x - root); p(root) must be 0."""
+    """Exact division of p by (x - root); p(root) must be 0.
+
+    With p = A / s for an integer polynomial A and root = a/b in lowest
+    terms, the quotient is B * b / s, where B = A / (b x - a). By Gauss's
+    lemma B has integer coefficients when the division is exact, so each
+    step divides by b in integers; every step's remainder is checked once,
+    at the end."""
+    a, b = root.numerator, root.denominator
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
     out = []
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * root + c
+    acc = rem = 0
+    for c in reversed(ints[1:]):
+        acc, r = divmod(c + a * acc, b)
+        rem |= r
         out.append(acc)
-    if out[-1] != 0:
-        raise ArithmeticError(f"deflation by {root} left remainder {out[-1]}: lost exactness")
-    return RatPoly(list(reversed(out[:-1])))
+    if rem or ints[0] + a * acc:
+        raise ArithmeticError(f"deflation by {root} left a remainder: lost exactness")
+    return RatPoly([Fraction(c * b, scale) for c in reversed(out)])
 
 
 def poly_text(p: RatPoly) -> str:

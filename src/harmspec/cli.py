@@ -26,7 +26,13 @@ from .charpoly import char_poly, factored_display, poly_json, poly_text
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import Graph, encode_graph6, read_graph6_file
 from .harmonic import harmonic_index, harmonic_matrix, matrix_json, matrix_text
-from .spectrum import DEFAULT_TOL, eigenvalues_symmetric, harmonic_energy, spectrum_json
+from .spectrum import (
+    DEFAULT_TOL,
+    JacobiConvergenceError,
+    eigenvalues_symmetric,
+    harmonic_energy,
+    spectrum_json,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -287,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, JacobiConvergenceError) as exc:
         print(f"harmspec: error: {exc}", file=sys.stderr)
         return 1
 

@@ -158,6 +158,61 @@ def faddeev_leverrier_char_poly(matrix):
     return RatPoly([Fraction(cs[i], scale ** (n - i)) for i in range(n + 1)])
 
 
+def cyclic_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100):
+    """Reference eigensolver: cyclic Jacobi with one rotation per (p, q) in
+    row-major order, each copying and rewriting two full rows and columns.
+    Returns (eigenvalues sorted non-increasing, off-diagonal norm, sweeps)
+    like ``jacobi_eigenvalues``."""
+    import numpy as np
+
+    from harmspec.spectrum import JacobiConvergenceError
+
+    def off_norm(m):
+        return float(np.linalg.norm(m - np.diag(np.diag(m))))
+
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n == 0:
+        return np.array([]), 0.0, 0
+    threshold = tol * float(np.linalg.norm(a))
+    sweeps = 0
+    off = off_norm(a)
+    while off > threshold:
+        if sweeps >= max_sweeps:
+            raise JacobiConvergenceError(off, sweeps)
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if abs(apq) < 1e-36 * abs(diff):
+                    t = apq / diff
+                else:
+                    theta = diff / (2.0 * apq)
+                    if theta == 0.0:
+                        t = 1.0
+                    else:
+                        t = math.copysign(1.0, theta) / (
+                            abs(theta) + math.sqrt(theta * theta + 1.0)
+                        )
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+        sweeps += 1
+        off = off_norm(a)
+    return np.sort(np.diag(a))[::-1], off, sweeps
+
+
 def divisor_rational_roots(p) -> list:
     """Reference rational-root search: every p/q with p dividing the
     constant term and q dividing the leading coefficient of the

@@ -263,6 +263,22 @@ class TestDisplay:
         with pytest.raises(ArithmeticError, match="lost exactness"):
             _deflate(RatPoly((-1, 0, 1)), Fraction(2))
 
+    @pytest.mark.parametrize("p, root", [((0, 0, 1), HALF), ((1, 3, 2, 5), Fraction(-2, 3))])
+    def test_deflate_by_fraction_non_root_raises(self, p, root):
+        # Integer division by (b x - a) must check every step's remainder:
+        # λ^2 at 1/2 leaves none at the last step once the others are dropped.
+        with pytest.raises(ArithmeticError, match="lost exactness"):
+            _deflate(RatPoly(p), root)
+
+    def test_deflate_inverts_multiplication(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            root = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+            q = RatPoly([Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(rng.randint(1, 8))])
+            if q.is_zero:
+                continue
+            assert _deflate(q * (X - root), root) == q
+
     def test_high_multiplicity_roots_found(self):
         p = closed_form_complete(12)
         spectrum = eigenvalues_symmetric(harmonic_matrix(complete(12)))

@@ -270,3 +270,25 @@ class TestErrors:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "gen", "--family", "petersen", "--bogus")
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance(self, capsys, tol):
+        code, out, err = run(capsys, "energy", "--family", "petersen", "--tol", tol)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("harmspec: error: tolerance must be finite and positive")
+
+    @pytest.mark.parametrize("command", ["energy", "charpoly"])
+    def test_jacobi_non_convergence(self, capsys, monkeypatch, command):
+        from harmspec import spectrum
+
+        def stuck(*args, **kwargs):
+            raise spectrum.JacobiConvergenceError(0.5, spectrum.MAX_SWEEPS)
+
+        monkeypatch.setattr(spectrum, "jacobi_eigenvalues", stuck)
+        code, _, err = run(capsys, command, "--family", "petersen")
+        assert code == 1
+        assert err == (
+            "harmspec: error: Jacobi sweep did not converge after 100 sweeps "
+            "(off-diagonal residual 5.000e-01); the input looks pathological\n"
+        )

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,13 +20,20 @@ from harmspec.harmonic import harmonic_matrix
 from harmspec.spectrum import (
     JacobiConvergenceError,
     Spectrum,
+    _round_robin,
+    _to_float_matrix,
     eigenvalues_symmetric,
     harmonic_energy,
     jacobi_eigenvalues,
     spectrum_json,
 )
 
-from conftest import graph_strategy, random_graph
+from conftest import (
+    audit_exact_polynomial_graphs,
+    cyclic_jacobi_eigenvalues,
+    graph_strategy,
+    random_graph,
+)
 
 
 class TestEigensolver:
@@ -70,6 +78,131 @@ class TestEigensolver:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError, match="tolerance"):
             eigenvalues_symmetric([[0]], tol=0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # A NaN or infinite threshold would end the loop before any sweep.
+        with pytest.raises(ValueError, match="finite and positive"):
+            eigenvalues_symmetric(harmonic_matrix(cycle(10)), tol=tol)
+
+
+def _harmonic_floats(g) -> np.ndarray:
+    return _to_float_matrix(harmonic_matrix(g))
+
+
+def _eigvalsh_error(a: np.ndarray) -> float:
+    eig, _, _ = jacobi_eigenvalues(a)
+    return float(np.max(np.abs(eig - np.sort(np.linalg.eigvalsh(a))[::-1]), initial=0.0))
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", range(1, 14))
+    def test_schedule(self, n):
+        rounds = _round_robin(n)
+        if n > 1:
+            assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+        seen = []
+        for p, q, pq in rounds:
+            assert len(p) == len(q) == n // 2
+            assert len(set(p) | set(q)) == 2 * len(p)  # disjoint pairs
+            assert all(p < q) and list(pq) == list(p * n + q)
+            seen += zip(p.tolist(), q.tolist())
+        assert sorted(seen) == list(combinations(range(n), 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 31, 50, 64, 99, 100])
+    def test_agrees_with_eigvalsh(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.uniform(-1, 1, (n, n))
+        a = (a + a.T) / 2
+        assert _eigvalsh_error(a) < 1e-13 * max(1.0, np.linalg.norm(a))
+
+    def test_error_within_root_capture_radius_at_64(self):
+        # factored_display finds a rational root when the Jacobi eigenvalue
+        # lies within 1/(2 Q^2) = 5e-11 of it (ROOT_DENOMINATOR_MAX = Q).
+        rng = random.Random(64)
+        worst = max(
+            _eigvalsh_error(_harmonic_floats(random_graph(rng, 64, p)))
+            for p in (0.05, 0.15, 0.5, 0.9)
+            for _ in range(2)
+        )
+        assert worst < 1e-13
+
+    def test_bit_identical_repeats(self):
+        rng = np.random.default_rng(5)
+        a = rng.uniform(-1, 1, (33, 33))
+        a = a + a.T
+        before = a.copy()
+        runs = [jacobi_eigenvalues(a) for _ in range(3)]
+        assert np.array_equal(a, before)
+        for eig, off, sweeps in runs[1:]:
+            assert eig.tobytes() == runs[0][0].tobytes()
+            assert (off, sweeps) == runs[0][1:]
+
+    @pytest.mark.parametrize(
+        "name, a",
+        [
+            ("K16", _harmonic_floats(complete(16))),
+            ("K17", _harmonic_floats(complete(17))),
+            ("petersen", _harmonic_floats(petersen())),
+            ("4 x petersen", _harmonic_floats(disjoint_union([petersen()] * 4))),
+            ("5 x C7", _harmonic_floats(disjoint_union([cycle(7)] * 5))),
+            ("3 x dense 6", np.kron(np.eye(3), np.full((6, 6), 0.25) + np.diag([0.5] * 6))),
+        ],
+    )
+    def test_repeated_eigenvalues(self, name, a):
+        eig, off, sweeps = jacobi_eigenvalues(a)
+        # Both orderings take 4 to 10 sweeps on relabelings of these.
+        assert off <= 1e-12 * np.linalg.norm(a) and sweeps <= 12
+        assert np.max(np.abs(eig - np.sort(np.linalg.eigvalsh(a))[::-1])) < 1e-14
+
+    def test_clustered_eigenvalues(self):
+        rng = np.random.default_rng(3)
+        values = np.repeat([1.0, 1.0 + 1e-10, -0.5, -0.5 - 1e-9], 6)
+        basis, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+        a = basis @ np.diag(values) @ basis.T
+        a = (a + a.T) / 2
+        eig, _, sweeps = jacobi_eigenvalues(a)
+        assert sweeps <= 20  # 14 here, and 13 for the cyclic ordering
+        assert np.max(np.abs(eig - np.sort(np.linalg.eigvalsh(a))[::-1])) < 1e-13
+
+    def test_zero_entries_with_equal_diagonal(self):
+        # theta = 0/0 for every pair but (0, 1); those pairs must be skipped.
+        a = np.eye(6)
+        a[0, 1] = a[1, 0] = 0.5
+        eig, off, sweeps = jacobi_eigenvalues(a)
+        assert off == 0.0 and sweeps == 1
+        assert np.max(np.abs(eig - [1.5, 1.0, 1.0, 1.0, 1.0, 0.5])) < 1e-15
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[0.0, 1e-310], [1e-310, 1.0]],  # |apq| < 1e-36 |diff|: theta overflows
+            [[0.0, 1e-300], [1e-300, -3.0]],
+            [[1.0, 0.5], [0.5, 1.0]],  # theta = 0
+            [[0.2, -0.7], [-0.7, -0.4]],
+        ],
+    )
+    def test_order_two_matches_cyclic(self, a):
+        # One pair: both orderings do the same single rotation, bit for bit.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = jacobi_eigenvalues(np.array(a))
+        want = cyclic_jacobi_eigenvalues(np.array(a))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+
+    def test_overflow_guard_in_a_round(self):
+        a = _harmonic_floats(cycle(9))
+        a[0, 4] = a[4, 0] = 1e-310
+        a[2, 2] = 1.0
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert _eigvalsh_error(a) < 1e-14
+
+    def test_agrees_with_cyclic_on_audit_grid(self):
+        for g in audit_exact_polynomial_graphs():
+            a = _harmonic_floats(g)
+            got = jacobi_eigenvalues(a)[0]
+            want = cyclic_jacobi_eigenvalues(a)[0]
+            assert np.max(np.abs(got - want), initial=0.0) < 1e-13, g
 
 
 class TestHarmonicEnergy:
