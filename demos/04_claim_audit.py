@@ -27,7 +27,8 @@ print("  the proof's own eigenvalue sum is right to",
 # An inequality audited with its margin.
 for n in (1, 2, 3):
     r = audit_claim("thm-windmill5-energy-bound", n=n)
-    print(f"windmill5 bound at n={n}: {r.verdict}, margin {r.evidence['margin']:+.6f}")
+    margin = round(r.evidence["margin"], 6) + 0.0  # no sign on a rounded-off zero
+    print(f"windmill5 bound at n={n}: {r.verdict}, margin {margin:+.6f}")
 
 # The full registry, one claim per published theorem part.
 print(f"\n{len(CLAIMS)} registered claims:")

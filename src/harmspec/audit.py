@@ -448,7 +448,7 @@ def _short_evidence(r: AuditResult) -> str:
     if "delta" in ev:
         return f"delta {ev['delta']:.3e}"
     if "margin" in ev:
-        return f"margin {ev['margin']:.6f}"
+        return f"margin {round(ev['margin'], 6) + 0.0:.6f}"
     return json.dumps(ev, sort_keys=True)
 
 

@@ -146,11 +146,13 @@ def _labeled_regular(n: int, d: int):
 def canonical_form(g: Graph) -> str:
     """Relabeling-invariant graph6 string: identical for isomorphic inputs.
 
-    Colors are refined by degree and per-vertex triangle count followed by
-    iterated neighborhood color multisets; remaining symmetric cells are
-    broken by individualizing the vertices of the first non-singleton cell
-    in turn, and the lexicographically largest adjacency encoding over the
-    discrete leaves wins.
+    The vertices start in cells of equal (degree, triangle count), ordered
+    ascending, and the ordered partition is refined to an equitable one
+    (see ``_refine``). Remaining symmetric cells are broken by
+    individualizing the vertices of the first non-singleton cell in turn,
+    each followed by refinement, and the lexicographically largest
+    adjacency encoding over the discrete leaves wins. A leaf's labeling is
+    the order of its cells.
 
     The search tree is pruned by automorphisms in the style of nauty
     (McKay & Piperno, J. Symb. Comput. 2014). A leaf whose code equals that
@@ -160,7 +162,11 @@ def canonical_form(g: Graph) -> str:
     by the stored automorphisms that fix ``path`` pointwise. That group maps
     the tried child's subtree onto the skipped one with equal leaf codes,
     so the maximum, and with it the result, is the one the unpruned search
-    finds.
+    finds. An automorphism with the first leaf also ends the search below
+    the common ancestor of the two leaves: it fixes the ancestor's path and
+    maps the ancestor's first child, whose subtree is done, onto the child
+    being searched, so the rest of that child's subtree repeats known
+    codes.
     """
     n = g.n
     if n > MAX_CENSUS_N:
@@ -168,52 +174,58 @@ def canonical_form(g: Graph) -> str:
     if n == 0:
         return encode_graph6(g)
     adj = g.adj
-    tri = [
-        sum((adj[v] & adj[u]).bit_count() for u in _bits(adj[v])) // 2
-        for v in range(n)
-    ]
-    seed = [(adj[v].bit_count(), tri[v]) for v in range(n)]
-    colors = _refine(adj, _compress(seed))
+    nbrs = [list(_bits(a)) for a in adj]
+    seed: dict[tuple[int, int], int] = {}
+    for v in range(n):
+        tri = sum((adj[v] & adj[u]).bit_count() for u in nbrs[v]) // 2
+        key = (adj[v].bit_count(), tri)
+        seed[key] = seed.get(key, 0) | 1 << v
+    cells = [seed[k] for k in sorted(seed)]
+    cells = _refine(adj, cells, cells)
 
     # (code, labeling) of the first leaf and of the best leaf so far.
     first: tuple[tuple[int, ...], list[int]] | None = None
     best: tuple[tuple[int, ...], list[int]] | None = None
+    first_path: list[int] = []
     automorphisms: list[list[int]] = []
 
-    def leaf(cols: list[int]):
-        nonlocal first, best
-        rows = [0] * n
-        for v in range(n):
+    def leaf(cells: list[int], path: list[int]) -> int | None:
+        """Record the leaf; return the depth to jump back to, if any."""
+        nonlocal first, best, first_path
+        lab = [c.bit_length() - 1 for c in cells]
+        pos = [0] * n
+        for i, v in enumerate(lab):
+            pos[v] = i
+        rows = []
+        for v in lab:
             row = 0
-            for u in _bits(adj[v]):
-                row |= 1 << cols[u]
-            rows[cols[v]] = row
+            for u in nbrs[v]:
+                row |= 1 << pos[u]
+            rows.append(row)
         code = tuple(rows)
         if first is None:
-            first = best = (code, cols)
-            return
-        for ref_code, ref_cols in (first, best):
-            if code == ref_code:
-                ref_inv = [0] * n
-                for v, pos in enumerate(ref_cols):
-                    ref_inv[pos] = v
-                automorphisms.append([ref_inv[cols[v]] for v in range(n)])
-                return
-        if code > best[0]:
-            best = (code, cols)
+            first = best = (code, lab)
+            first_path = path
+            return None
+        if code == first[0]:
+            automorphisms.append(_mapping(lab, first[1]))
+            depth = 0
+            while path[depth] == first_path[depth]:
+                depth += 1
+            return depth
+        if code == best[0]:
+            automorphisms.append(_mapping(lab, best[1]))
+        elif code > best[0]:
+            best = (code, lab)
+        return None
 
-    def search(cols: list[int], path: list[int]):
-        cellmap: dict[int, list[int]] = {}
-        for v, c in enumerate(cols):
-            cellmap.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cellmap):
-            if len(cellmap[c]) > 1:
-                target = cellmap[c]
-                break
-        if target is None:
-            leaf(cols)
-            return
+    def search(cells: list[int], path: list[int]) -> int | None:
+        """Search below the node ``path``; return the depth to jump back to
+        when an automorphism with the first leaf cuts this subtree short."""
+        t = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if t is None:
+            return leaf(cells, path)
+        target = cells[t]
         orbit = list(range(n))  # union-find parent pointers
         used = 0                # automorphisms already merged into orbit
 
@@ -224,7 +236,7 @@ def canonical_form(g: Graph) -> str:
             return v
 
         tried: list[int] = []
-        for v in target:
+        for v in _bits(target):
             for gamma in automorphisms[used:]:
                 if all(gamma[p] == p for p in path):
                     for u in range(n):
@@ -233,32 +245,72 @@ def canonical_form(g: Graph) -> str:
                             orbit[max(a, b)] = min(a, b)
             used = len(automorphisms)
             root = find(v)
-            if any(find(t) == root for t in tried):
+            if any(find(u) == root for u in tried):
                 continue
             tried.append(v)
-            split = [c * 2 + (0 if u == v else 1) for u, c in enumerate(cols)]
-            search(_refine(adj, _compress(split)), path + [v])
+            split = [1 << v, target ^ 1 << v]
+            back = search(_refine(adj, cells[:t] + split + cells[t + 1:], split), path + [v])
+            if back is not None and back < len(path):
+                return back
+        return None
 
-    search(colors, [])
+    search(cells, [])
     return encode_graph6(Graph(n, best[0]))
 
 
-def _compress(values: list) -> list[int]:
-    order = {s: i for i, s in enumerate(sorted(set(values)))}
-    return [order[s] for s in values]
+def _mapping(lab: list[int], ref_lab: list[int]) -> list[int]:
+    """The permutation that sends each vertex of one leaf labeling to the
+    vertex at the same position of another."""
+    gamma = [0] * len(lab)
+    for v, u in zip(lab, ref_lab):
+        gamma[v] = u
+    return gamma
 
 
-def _refine(adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    n = len(colors)
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in _bits(adj[v]))))
-            for v in range(n)
-        ]
-        new = _compress(sigs)
-        if new == colors:
-            return colors
-        colors = new
+def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:
+    """Refine an ordered partition of vertex bitmasks until it is equitable.
+
+    Each round splits every non-singleton cell by the key
+    ``tuple(-|N(v) & s| for s in splitters)``, puts the fragments in place
+    of the cell in ascending key order, and makes every fragment of the
+    round a splitter of the next one. The splitters are in cell order. The
+    key is kept as the counts packed four bits each (n <= 12) and sorted
+    descending, which is the same order.
+
+    This is the order of the round-by-round refinement by sorted
+    neighbour-colour tuples: the vertices of a cell share their degree, so
+    the first colour in which two sorted tuples differ is the first cell
+    into which their counts differ, and the one with more neighbours there
+    sorts first. A cell that did not split in the last round already has
+    equal counts into every cell that is not new, so only the new cells can
+    order a split. The largest fragment stays a splitter: dropping it, as
+    Hopcroft's queue would, can reverse the order of a split.
+    """
+    while splitters:
+        refined: list[int] = []
+        created: list[int] = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                refined.append(cell)
+                continue
+            groups: dict[int, int] = {}
+            rest = cell
+            while rest:
+                bit = rest & -rest
+                row = adj[bit.bit_length() - 1]
+                key = 0
+                for s in splitters:
+                    key = key << 4 | (row & s).bit_count()
+                groups[key] = groups.get(key, 0) | bit
+                rest ^= bit
+            if len(groups) == 1:
+                refined.append(cell)
+            else:
+                fragments = [groups[k] for k in sorted(groups, reverse=True)]
+                refined += fragments
+                created += fragments
+        cells, splitters = refined, created
+    return cells
 
 
 # ---------------------------------------------------------------------------

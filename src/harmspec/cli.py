@@ -180,7 +180,8 @@ def _cmd_energy(args) -> int:
     for g in graphs:
         report = harmonic_energy(g, tol=args.tol)
         dec = args.decimals
-        spect = ", ".join(f"{x:.{dec}f}" for x in report.spectrum.eigenvalues)
+        # Adding 0.0 turns the -0.0 of a rounded-off zero eigenvalue into 0.0.
+        spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in report.spectrum.eigenvalues)
         blocks.append(
             f"graph6: {report.graph6}\nHE = {report.he:.{dec}f}\nspectrum: [{spect}]\n"
             f"method: jacobi, sweeps: {report.spectrum.sweeps}, "

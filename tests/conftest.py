@@ -81,26 +81,58 @@ def to_networkx(g: Graph):
     return h
 
 
+def compress_colors(values: list) -> list[int]:
+    """Replace each value by its rank among the distinct values."""
+    order = {s: i for i, s in enumerate(sorted(set(values)))}
+    return [order[s] for s in values]
+
+
+def refine_colors(adj: tuple[int, ...], colors: list[int]) -> list[int]:
+    """Reference colour refinement: every round recolours each vertex by
+    its colour and the sorted tuple of its neighbours' colours, ranked,
+    until a round changes nothing. Colour c is position c of the ordered
+    partition that ``census._refine`` must produce."""
+    from harmspec.graphs import _bits
+
+    n = len(colors)
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted(colors[u] for u in _bits(adj[v]))))
+            for v in range(n)
+        ]
+        new = compress_colors(sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def seed_colors(adj: tuple[int, ...]) -> list[int]:
+    """Ranks of (degree, triangle count), the colouring both canonical
+    forms start from."""
+    from harmspec.graphs import _bits
+
+    tri = [
+        sum((adj[v] & adj[u]).bit_count() for u in _bits(adj[v])) // 2
+        for v in range(len(adj))
+    ]
+    return compress_colors([(adj[v].bit_count(), tri[v]) for v in range(len(adj))])
+
+
 @functools.lru_cache(maxsize=None)
 def exhaustive_canonical_form(g: Graph) -> str:
     """Reference canonical form without automorphism pruning: the same
-    refinement, target cell and "largest leaf code wins" rule as
-    ``canonical_form``, with every vertex of every target cell
-    individualized. Its cost grows as n! on symmetric graphs, so results
-    are memoized for the tests that share an input."""
-    from harmspec.census import _compress, _refine
+    refinement order, target cell and "largest leaf code wins" rule as
+    ``canonical_form``, computed on colour lists by ``refine_colors``, with
+    every vertex of every target cell individualized. Its cost grows as n!
+    on symmetric graphs, so results are memoized for the tests that share
+    an input."""
     from harmspec.graphs import _bits, encode_graph6
 
     n = g.n
     if n == 0:
         return encode_graph6(g)
     adj = g.adj
-    tri = [
-        sum((adj[v] & adj[u]).bit_count() for u in _bits(adj[v])) // 2
-        for v in range(n)
-    ]
-    seed = [(adj[v].bit_count(), tri[v]) for v in range(n)]
-    colors = _refine(adj, _compress(seed))
+    colors = refine_colors(adj, seed_colors(adj))
     best: list[tuple[int, ...]] = [()]
 
     def leaf(cols: list[int]):
@@ -122,7 +154,7 @@ def exhaustive_canonical_form(g: Graph) -> str:
             return
         for v in target:
             split = [c * 2 + (0 if u == v else 1) for u, c in enumerate(cols)]
-            search(_refine(adj, _compress(split)))
+            search(refine_colors(adj, compress_colors(split)))
 
     search(colors)
     return encode_graph6(Graph(n, best[0]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -65,6 +66,13 @@ def test_windmill5_bound_equality_at_one_blade():
     r = audit_claim("thm-windmill5-energy-bound", n=1)
     assert r.verdict == NUMERIC_MATCH
     assert abs(r.evidence["margin"]) < 1e-9
+
+
+def test_margin_text_has_no_negative_zero():
+    r = audit_claim("thm-windmill5-energy-bound", n=1)
+    noisy = [dataclasses.replace(r, evidence={**r.evidence, "margin": m}) for m in (-1e-17, 1e-17)]
+    lines = results_table(noisy).splitlines()[1:]
+    assert [line.split()[-1] for line in lines] == ["0.000000", "0.000000"]
 
 
 def test_unknown_claim_rejected():

@@ -121,6 +121,15 @@ class TestEnergy:
         assert code == 0
         assert "HE = 5.333" in out
 
+    @pytest.mark.parametrize("family,n", [("star", "6"), ("path", "5")])
+    def test_zero_eigenvalues_print_unsigned(self, capsys, family, n):
+        # Exact zeros come out of Jacobi as +-1e-17 noise; the text shows no sign.
+        code, out, _ = run(capsys, "energy", "--family", family, "--n", n)
+        assert code == 0
+        tokens = out.split("spectrum: [")[1].split("]")[0].split(", ")
+        assert "0.0000000" in tokens
+        assert "-0.0000000" not in tokens
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "energy", "--family", "star", "--n", "5", "--format", "json")
         assert code == 0
