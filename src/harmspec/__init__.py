@@ -37,6 +37,7 @@ from .spectrum import (
     EnergyReport,
     Spectrum,
     eigenvalues_symmetric,
+    harmonic_energies,
     harmonic_energy,
 )
 
@@ -70,6 +71,7 @@ __all__ = [
     "factored_display",
     "generate",
     "graph_char_poly",
+    "harmonic_energies",
     "harmonic_energy",
     "harmonic_index",
     "harmonic_matrix",

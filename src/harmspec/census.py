@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .graphs import Graph, _bits, complement, components, decode_graph6, encode_graph6
-from .spectrum import harmonic_energy
+from .spectrum import harmonic_energies
 
 MAX_CENSUS_N = 12
 
@@ -337,24 +337,23 @@ def census(
 def census_from_graphs(graphs: Sequence[Graph]) -> tuple[list[CensusRecord], list[EnergyClass]]:
     """Census records and energy classes for an externally supplied list of
     graphs (one record per input, in input order)."""
-    records = []
-    for idx, g in enumerate(graphs, start=1):
-        report = harmonic_energy(g)
-        records.append(
-            CensusRecord(
-                index=idx,
-                graph6=encode_graph6(g),
-                connected=len(components(g)) <= 1,
-                he=report.he,
-                spectrum=report.spectrum.eigenvalues,
-            )
+    records = [
+        CensusRecord(
+            index=idx,
+            graph6=report.graph6,
+            connected=len(components(g)) <= 1,
+            he=report.he,
+            spectrum=report.spectrum.eigenvalues,
         )
+        for idx, (g, report) in enumerate(zip(graphs, harmonic_energies(graphs)), start=1)
+    ]
     return records, energy_classes(records)
 
 
 def energy_classes(records: Sequence[CensusRecord]) -> list[EnergyClass]:
     """Group records into classes of equal harmonic energy (tolerance
-    CLASS_TOL) and report eigenvalue multiset differences within classes."""
+    CLASS_TOL) and report eigenvalue multiset differences between the
+    members of a class that have the same order."""
     by_he = sorted(records, key=lambda r: (r.he, r.index))
     groups: list[list[CensusRecord]] = []
     for rec in by_he:
@@ -365,9 +364,11 @@ def energy_classes(records: Sequence[CensusRecord]) -> list[EnergyClass]:
     classes = []
     for group in groups:
         members = tuple(sorted(r.index for r in group))
-        diffs = []
-        for a, b in combinations(sorted(group, key=lambda r: r.index), 2):
-            diffs.append((a.index, b.index, spectra_diff_count(a.spectrum, b.spectrum)))
+        diffs = [
+            (a.index, b.index, spectra_diff_count(a.spectrum, b.spectrum))
+            for a, b in combinations(sorted(group, key=lambda r: r.index), 2)
+            if len(a.spectrum) == len(b.spectrum)
+        ]
         classes.append(
             EnergyClass(
                 he=sum(r.he for r in group) / len(group),

@@ -30,7 +30,7 @@ from .spectrum import (
     DEFAULT_TOL,
     JacobiConvergenceError,
     eigenvalues_symmetric,
-    harmonic_energy,
+    harmonic_energies,
     spectrum_json,
 )
 
@@ -40,6 +40,16 @@ class _Parser(argparse.ArgumentParser):
     # audit baseline drift, so usage errors become exit 1.
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _decimals(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def _add_family_args(sub: argparse.ArgumentParser):
@@ -78,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_args(energy)
     _add_output_args(energy, ("text", "json"))
     energy.add_argument("--tol", type=float, default=DEFAULT_TOL, help="eigensolver tolerance")
-    energy.add_argument("--decimals", type=int, default=7, help="display precision for text output")
+    energy.add_argument("--decimals", type=_decimals, default=7, help="display precision for text output")
 
     census = subs.add_parser("census", help="regular-graph census with energies")
     census.add_argument("--n", type=int, help="vertex count")
@@ -86,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument("--from-file", dest="from_file", help="graph6 file to use as the census source")
     _add_output_args(census, ("text", "json", "csv"))
     census.add_argument("--quiet", action="store_true", help="suppress progress logs")
-    census.add_argument("--decimals", type=int, default=7)
+    census.add_argument("--decimals", type=_decimals, default=7)
 
     audit = subs.add_parser("audit", help="audit registered claims against the oracles")
     audit.add_argument("--claim", action="append", help="restrict to this claim id (repeatable)")
@@ -175,10 +185,8 @@ def _cmd_charpoly(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    graphs = _family_graphs(args)
     blocks, payloads = [], []
-    for g in graphs:
-        report = harmonic_energy(g, tol=args.tol)
+    for report in harmonic_energies(_family_graphs(args), tol=args.tol):
         dec = args.decimals
         # Adding 0.0 turns the -0.0 of a rounded-off zero eigenvalue into 0.0.
         spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in report.spectrum.eigenvalues)

@@ -235,6 +235,7 @@ def decode_graph6(line: str) -> Graph:
 
     rows = [0] * n
     bit = 0
+    i, j = 0, 1  # the pair of `bit` in the column-major upper-triangle stream
     for k in range(need):
         group = byte(pos + k)
         for shift in (5, 4, 3, 2, 1, 0):
@@ -243,21 +244,13 @@ def decode_graph6(line: str) -> Graph:
                     raise Graph6Error("nonzero padding bits", base + pos + k)
                 continue
             if group >> shift & 1:
-                i, j = _pair_at(bit)
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             bit += 1
+            i += 1
+            if i == j:
+                i, j = 0, j + 1
     return Graph(n, tuple(rows))
-
-
-def _pair_at(bit: int) -> tuple[int, int]:
-    # Position `bit` in the column-major upper-triangle stream: column j
-    # covers bits j(j-1)/2 .. j(j-1)/2 + j - 1.
-    j = 1
-    while j * (j + 1) // 2 <= bit:
-        j += 1
-    i = bit - j * (j - 1) // 2
-    return i, j
 
 
 def parse_graph6_lines(text: str) -> list[Graph]:

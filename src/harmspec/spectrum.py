@@ -5,8 +5,17 @@ The solver is Jacobi's method in the round-robin ("parallel") ordering of
 Brent and Luk (Golub and Van Loan, Matrix Computations, section 8.5). One
 sweep annihilates every off-diagonal pair once, in n - 1 rounds of n/2
 disjoint pairs (n rounds for odd n); the rotations of a round are applied
-together as one column update and one row update. The order is fixed and
-there is no randomization, so a given matrix always produces bit-identical
+together as one column update and one row update.
+
+The solver takes a stack of matrices of one order and does each round of
+every matrix in the stack with the same numpy calls. At the orders used
+here the time of a round is the overhead of its ~50 calls, not their
+arithmetic, so a stack of k matrices costs far less than k solves. Each
+matrix keeps its own live pairs, Frobenius threshold and sweep count, and
+leaves the stack once its off-diagonal norm is at or below its threshold;
+its arithmetic, and so every bit of its results, is the same in any stack
+as alone. A single matrix is a stack of one. The order is fixed and there
+is no randomization, so a given matrix always produces bit-identical
 output. Exact entries are converted to floats once, with correct rounding,
 and every tolerance is relative to the Frobenius norm.
 """
@@ -26,6 +35,8 @@ from .harmonic import harmonic_matrix
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
+# harmonic_energies solves at most this many matrix entries in one stack.
+STACK_ENTRIES = 1 << 15
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -66,12 +77,28 @@ class EnergyReport:
 
 
 def _to_float_matrix(m: Sequence[Sequence[Fraction | int | float]]) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m], dtype=float)
+    # Each distinct entry object is converted once: a harmonic matrix shares
+    # one zero per row and one weight per edge. The copied rows keep every
+    # entry alive until the end, so no two entries share an id.
+    rows = [list(row) for row in m]
+    entries = {id(x): x for row in rows for x in row}
+    floats = {key: float(x) for key, x in entries.items()}
+    return np.array([[floats[id(x)] for x in row] for row in rows], dtype=float)
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
+def _norms(rows: np.ndarray) -> list[float]:
+    # The Frobenius norm of each flattened matrix, by the same dot product
+    # np.linalg.norm takes, so a matrix gets the same bits in any stack.
+    return [math.sqrt(row.dot(row)) for row in rows]
+
+
+def _off_norms(mats: np.ndarray) -> list[float]:
+    # A zeroed diagonal holds the entries of a - diag(a) up to the sign of
+    # zero, which squaring drops.
+    k, n, _ = mats.shape
+    off = mats.reshape(k, n * n).copy()
+    off[:, :: n + 1] = 0.0
+    return _norms(off)
 
 
 @functools.lru_cache(maxsize=None)
@@ -93,67 +120,119 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return tuple(rounds)
 
 
+@functools.lru_cache(maxsize=64)
+def _stacked_rounds(n: int, k: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The rounds of _round_robin(n) for k matrices held as w[row, k, col].
+    Per round: the flat indices into w of the entries (p, q), (q, p),
+    (p, p) and (q, q) of every pair, the indices of columns p and q in
+    w.reshape(n, k*n) and of rows p and q in w.reshape(n*k, n); first as
+    one 2-D array, for dropping dead pairs in one call, then as its rows."""
+    rounds = []
+    for p, q, _ in _round_robin(n):
+        K = np.repeat(np.arange(k, dtype=np.intp), len(p))
+        P, Q = np.tile(p, k), np.tile(q, k)
+        PK, QK = P * k + K, Q * k + K
+        index = np.stack([PK * n + Q, QK * n + P, PK * n + P, QK * n + Q, K * n + P, K * n + Q, PK, QK])
+        index.flags.writeable = False  # shared by every caller
+        rounds.append((index, *index))
+    return tuple(rounds)
+
+
+def _sweep(w: np.ndarray) -> None:
+    """One round-robin sweep, in place, over the stack w[row, k, col].
+    Within a round, pairs whose entry is already 0.0 are left out."""
+    n, k, _ = w.shape
+    flat, cols, rows = w.reshape(-1), w.reshape(n, k * n), w.reshape(n * k, n)
+    for index, pq, qp, pp, qq, col_p, col_q, row_p, row_q in _stacked_rounds(n, k):
+        apq = flat[pq]
+        if not apq.all():
+            live = apq != 0.0
+            if not live.any():
+                continue
+            pq, qp, pp, qq, col_p, col_q, row_p, row_q = index.compress(live, axis=1)
+            apq = apq[live]
+        diff = flat[qq] - flat[pp]
+        # Where |apq| < 1e-36 |diff|, theta would overflow; the rotation
+        # angle is then ~apq/diff. Dividing by diff there keeps theta
+        # finite before that value is written over it.
+        small = np.abs(apq) < 1e-36 * np.abs(diff)
+        theta = diff / (2.0 * np.where(small, diff, apq))
+        t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+        np.divide(apq, diff, out=t, where=small)
+        c = 1.0 / np.sqrt(t * t + 1.0)
+        s = t * c
+        a_p, a_q = cols.take(col_p, axis=1), cols.take(col_q, axis=1)
+        cols[:, col_p] = c * a_p - s * a_q
+        cols[:, col_q] = s * a_p + c * a_q
+        c, s = c[:, None], s[:, None]
+        a_p, a_q = rows.take(row_p, axis=0), rows.take(row_q, axis=0)
+        rows[row_p] = c * a_p - s * a_q
+        rows[row_q] = s * a_p + c * a_q
+        flat[pq] = 0.0
+        flat[qp] = 0.0
+
+
+def jacobi_eigenvalues_stack(
+    stack: Sequence[np.ndarray] | np.ndarray,
+    tol: float = DEFAULT_TOL,
+    max_sweeps: int = MAX_SWEEPS,
+) -> list[tuple[np.ndarray, float, int]]:
+    """Round-robin Jacobi on a stack of k symmetric float matrices of one
+    order n. Every matrix gets the rounds, live pairs, threshold and sweep
+    count it gets alone, so its results are bit-identical to a stack of one.
+
+    Returns one (eigenvalues sorted non-increasing, final off-diagonal norm,
+    sweeps used) triple per matrix. Raises JacobiConvergenceError for the
+    first matrix whose off-diagonal norm is still above tol * ||a||_F after
+    max_sweeps sweeps.
+    """
+    a = np.array(stack, dtype=float)
+    k = len(a)
+    if a.size == 0:
+        return [(np.array([]), 0.0, 0) for _ in range(k)]
+    n = a.shape[1]
+    thresholds = [tol * fro for fro in _norms(a.reshape(k, n * n))]
+    offs = _off_norms(a)
+    sweeps = [0] * k
+    active = [i for i in range(k) if offs[i] > thresholds[i]]
+    done = 0
+    while active:
+        if done >= max_sweeps:
+            raise JacobiConvergenceError(offs[active[0]], done)
+        w = np.ascontiguousarray(a[active].transpose(1, 0, 2))
+        _sweep(w)
+        mats = np.ascontiguousarray(w.transpose(1, 0, 2))
+        a[active] = mats
+        done += 1
+        for i, off in zip(active, _off_norms(mats)):
+            offs[i] = off
+            sweeps[i] = done
+        active = [i for i in active if offs[i] > thresholds[i]]
+    return [(np.sort(a[i].diagonal())[::-1], offs[i], sweeps[i]) for i in range(k)]
+
+
 def jacobi_eigenvalues(
     a: np.ndarray, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS
 ) -> tuple[np.ndarray, float, int]:
-    """Round-robin Jacobi on a symmetric float matrix. Within a round,
-    pairs whose entry is already 0.0 are left out.
+    """Round-robin Jacobi on one symmetric float matrix: a stack of one.
 
     Returns (eigenvalues sorted non-increasing, final off-diagonal norm,
     sweeps used). Raises JacobiConvergenceError when the off-diagonal norm
     is still above tol * ||a||_F after max_sweeps sweeps.
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return np.array([]), 0.0, 0
-    flat = a.reshape(-1)
-    diag = a.diagonal()
-    fro = float(np.linalg.norm(a))
-    threshold = tol * fro
-    sweeps = 0
-    off = _off_norm(a)
-    while off > threshold:
-        if sweeps >= max_sweeps:
-            raise JacobiConvergenceError(off, sweeps)
-        for p, q, pq in _round_robin(n):
-            apq = flat[pq]
-            live = apq != 0.0
-            if not live.all():
-                if not live.any():
-                    continue
-                p, q, apq = p[live], q[live], apq[live]
-            diff = diag[q] - diag[p]
-            # Where |apq| < 1e-36 |diff|, theta would overflow; the rotation
-            # angle is then ~apq/diff. Dividing by diff there keeps theta
-            # finite before that value is written over it.
-            small = np.abs(apq) < 1e-36 * np.abs(diff)
-            theta = diff / (2.0 * np.where(small, diff, apq))
-            t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            np.divide(apq, diff, out=t, where=small)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            col_p, col_q = a[:, p], a[:, q]
-            a[:, p] = c * col_p - s * col_q
-            a[:, q] = s * col_p + c * col_q
-            c, s = c[:, None], s[:, None]
-            row_p, row_q = a[p], a[q]
-            a[p] = c * row_p - s * row_q
-            a[q] = s * row_p + c * row_q
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-        sweeps += 1
-        off = _off_norm(a)
-    eig = np.sort(diag)[::-1]
-    return eig, off, sweeps
+    return jacobi_eigenvalues_stack([a], tol, max_sweeps)[0]
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
 def eigenvalues_symmetric(
     m: Sequence[Sequence[Fraction | int | float]], tol: float = DEFAULT_TOL
 ) -> Spectrum:
     """Spectrum of an exact symmetric matrix via the Jacobi solver."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    _check_tol(tol)
     a = _to_float_matrix(m)
     if a.size and not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
@@ -161,11 +240,30 @@ def eigenvalues_symmetric(
     return Spectrum(tuple(float(x) for x in eig), off, sweeps)
 
 
+def harmonic_energies(graphs: Sequence[Graph], tol: float = DEFAULT_TOL) -> list[EnergyReport]:
+    """Harmonic energy of every graph, in input order. The graphs of each
+    order, taken in order of first appearance, are solved as stacks of at
+    most STACK_ENTRIES matrix entries."""
+    _check_tol(tol)
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    reports: dict[int, EnergyReport] = {}
+    for n, members in by_order.items():
+        size = max(1, STACK_ENTRIES // (n * n or 1))
+        for start in range(0, len(members), size):
+            chunk = members[start : start + size]
+            stack = [_to_float_matrix(harmonic_matrix(graphs[i])) for i in chunk]
+            for i, (eig, off, sweeps) in zip(chunk, jacobi_eigenvalues_stack(stack, tol)):
+                spec = Spectrum(tuple(float(x) for x in eig), off, sweeps)
+                he = float(sum(abs(x) for x in spec.eigenvalues))
+                reports[i] = EnergyReport(he, encode_graph6(graphs[i]), spec)
+    return [reports[i] for i in range(len(graphs))]
+
+
 def harmonic_energy(g: Graph, tol: float = DEFAULT_TOL) -> EnergyReport:
     """Sum of absolute eigenvalues of the harmonic matrix."""
-    spec = eigenvalues_symmetric(harmonic_matrix(g), tol)
-    he = float(sum(abs(x) for x in spec.eigenvalues))
-    return EnergyReport(he, encode_graph6(g), spec)
+    return harmonic_energies([g], tol)[0]
 
 
 def spectrum_json(report: EnergyReport) -> dict:

@@ -245,6 +245,60 @@ def cyclic_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100):
     return np.sort(np.diag(a))[::-1], off, sweeps
 
 
+def round_robin_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100):
+    """Reference eigensolver: round-robin Jacobi on one matrix, the schedule
+    of ``spectrum._round_robin`` with each round's rotations applied as one
+    column and one row update, skipping pairs whose entry is already 0.0.
+    ``jacobi_eigenvalues_stack`` must give every member of a stack these
+    results bit for bit. Returns (eigenvalues sorted non-increasing,
+    off-diagonal norm, sweeps) like ``jacobi_eigenvalues``."""
+    import numpy as np
+
+    from harmspec.spectrum import JacobiConvergenceError, _round_robin
+
+    def off_norm(m):
+        return float(np.linalg.norm(m - np.diag(np.diag(m))))
+
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n == 0:
+        return np.array([]), 0.0, 0
+    flat = a.reshape(-1)
+    diag = a.diagonal()
+    threshold = tol * float(np.linalg.norm(a))
+    sweeps = 0
+    off = off_norm(a)
+    while off > threshold:
+        if sweeps >= max_sweeps:
+            raise JacobiConvergenceError(off, sweeps)
+        for p, q, pq in _round_robin(n):
+            apq = flat[pq]
+            live = apq != 0.0
+            if not live.all():
+                if not live.any():
+                    continue
+                p, q, apq = p[live], q[live], apq[live]
+            diff = diag[q] - diag[p]
+            small = np.abs(apq) < 1e-36 * np.abs(diff)
+            theta = diff / (2.0 * np.where(small, diff, apq))
+            t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            np.divide(apq, diff, out=t, where=small)
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            col_p, col_q = a[:, p], a[:, q]
+            a[:, p] = c * col_p - s * col_q
+            a[:, q] = s * col_p + c * col_q
+            c, s = c[:, None], s[:, None]
+            row_p, row_q = a[p], a[q]
+            a[p] = c * row_p - s * row_q
+            a[q] = s * row_p + c * row_q
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+        sweeps += 1
+        off = off_norm(a)
+    return np.sort(diag)[::-1], off, sweeps
+
+
 def divisor_rational_roots(p) -> list:
     """Reference rational-root search: every p/q with p dividing the
     constant term and q dividing the leading coefficient of the

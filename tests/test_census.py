@@ -391,6 +391,14 @@ class TestCensus:
         records, _ = census_from_graphs(read_graph6_file(str(path)))
         assert [r.graph6 for r in records] == [encode_graph6(g) for g in gs]
 
+    def test_mixed_orders_share_a_class(self):
+        # K3 and K3 + K1 both have HE = 2; only the pair of equal order
+        # gets an eigenvalue comparison.
+        k3 = complete(3)
+        _, classes = census_from_graphs([k3, disjoint_union([k3, build_graph(1, [])]), k3])
+        assert [c.members for c in classes] == [(1, 2, 3)]
+        assert classes[0].eigen_diffs == ((1, 3, 0),)
+
     def test_csv_output(self):
         records, _ = census(6, 3)
         text = records_csv(records)

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from harmspec.cli import main
 from harmspec.graphs import decode_graph6, encode_graph6
 
 from conftest import random_graph
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -130,6 +133,16 @@ class TestEnergy:
         assert "0.0000000" in tokens
         assert "-0.0000000" not in tokens
 
+    @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+    def test_mixed_orders_golden(self, capsys, fmt, suffix):
+        # Orders 0 to 40 interleaved, solved as one stack per order; the
+        # expected outputs are those of the solver that took one graph at a time.
+        code, out, err = run(
+            capsys, "energy", "--from-file", str(DATA / "energy_mixed.g6"), "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"energy_mixed.{suffix}").read_text()
+
     def test_json_schema(self, capsys):
         code, out, _ = run(capsys, "energy", "--family", "star", "--n", "5", "--format", "json")
         assert code == 0
@@ -148,6 +161,16 @@ class TestEnergy:
 
 
 class TestCensus:
+    def test_from_file_mixed_orders(self, capsys, tmp_path):
+        # K3 and K3 + K1 fall into one energy class.
+        path = tmp_path / "mixed.g6"
+        path.write_text("Bw\nCw\n")
+        code, out, err = run(capsys, "census", "--from-file", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        validate(payload, "census")
+        assert [(c["members"], c["eigen_diffs"]) for c in payload["classes"]] == [([1, 2], [])]
+
     def test_csv(self, capsys):
         code, out, _ = run(
             capsys, "census", "--n", "6", "--degree", "3", "--format", "csv", "--quiet"
@@ -280,6 +303,22 @@ class TestErrors:
         code, _, _ = run(capsys, "gen", "--family", "petersen", "--bogus")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("energy", "--family", "petersen", "--decimals", "-1"),
+            ("census", "--n", "4", "--degree", "3", "--quiet", "--decimals", "-2"),
+        ],
+        ids=["energy", "census"],
+    )
+    def test_negative_decimals(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"harmspec {argv[0]}: error: argument --decimals: "
+            f"must be a non-negative integer, got {argv[-1]}\n"
+        )
+
     @pytest.mark.parametrize("tol", ["nan", "inf"])
     def test_non_finite_tolerance(self, capsys, tol):
         code, out, err = run(capsys, "energy", "--family", "petersen", "--tol", tol)
@@ -287,15 +326,19 @@ class TestErrors:
         assert out == ""
         assert err.startswith("harmspec: error: tolerance must be finite and positive")
 
-    @pytest.mark.parametrize("command", ["energy", "charpoly"])
-    def test_jacobi_non_convergence(self, capsys, monkeypatch, command):
+    @pytest.mark.parametrize("command", ["energy", "charpoly", "census"])
+    def test_jacobi_non_convergence(self, capsys, monkeypatch, tmp_path, command):
         from harmspec import spectrum
 
         def stuck(*args, **kwargs):
             raise spectrum.JacobiConvergenceError(0.5, spectrum.MAX_SWEEPS)
 
-        monkeypatch.setattr(spectrum, "jacobi_eigenvalues", stuck)
-        code, _, err = run(capsys, command, "--family", "petersen")
+        # Every solve, a stack of one included, goes through the stacked solver.
+        monkeypatch.setattr(spectrum, "jacobi_eigenvalues_stack", stuck)
+        source = tmp_path / "petersen.g6"
+        source.write_text("IheA@GUAo\n")
+        argv = ("--from-file", str(source)) if command == "census" else ("--family", "petersen")
+        code, _, err = run(capsys, command, *argv)
         assert code == 1
         assert err == (
             "harmspec: error: Jacobi sweep did not converge after 100 sweeps "

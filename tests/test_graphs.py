@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,7 @@ from harmspec.graphs import (
 )
 from harmspec.families import complete, complete_bipartite, friendship, path
 
-from conftest import graph_strategy
+from conftest import graph_strategy, random_graph
 
 
 class TestBuildGraph:
@@ -148,6 +150,11 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="empty"):
             decode_graph6("")
 
+    def test_nonzero_padding_offset(self):
+        # "x" is 111001: the three bits of K3, then a set padding bit.
+        with pytest.raises(Graph6Error, match="nonzero padding bits.*offset 1"):
+            decode_graph6("Bx")
+
     def test_parse_lines_reports_line_number(self):
         with pytest.raises(Graph6Error, match="line 2"):
             parse_graph6_lines("D?{\nD?\n")
@@ -156,6 +163,13 @@ class TestGraph6:
     @settings(max_examples=100, deadline=None)
     def test_roundtrip(self, g):
         assert decode_graph6(encode_graph6(g)) == g
+
+    def test_roundtrip_seeded_up_to_62(self):
+        rng = random.Random(62)
+        for n in range(63):
+            for p in (0.1, 0.5, 0.9):
+                g = random_graph(rng, n, p)
+                assert decode_graph6(encode_graph6(g)) == g
 
     @given(graph_strategy(max_n=10))
     @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from harmspec import spectrum as spectrum_mod
 from harmspec.families import (
     complete,
     complete_bipartite,
@@ -15,7 +16,7 @@ from harmspec.families import (
     petersen,
     star,
 )
-from harmspec.graphs import build_graph, disjoint_union, relabel
+from harmspec.graphs import build_graph, disjoint_union, encode_graph6, relabel
 from harmspec.harmonic import harmonic_matrix
 from harmspec.spectrum import (
     JacobiConvergenceError,
@@ -23,8 +24,10 @@ from harmspec.spectrum import (
     _round_robin,
     _to_float_matrix,
     eigenvalues_symmetric,
+    harmonic_energies,
     harmonic_energy,
     jacobi_eigenvalues,
+    jacobi_eigenvalues_stack,
     spectrum_json,
 )
 
@@ -33,6 +36,7 @@ from conftest import (
     cyclic_jacobi_eigenvalues,
     graph_strategy,
     random_graph,
+    round_robin_jacobi_eigenvalues,
 )
 
 
@@ -203,6 +207,123 @@ class TestRoundRobin:
             got = jacobi_eigenvalues(a)[0]
             want = cyclic_jacobi_eigenvalues(a)[0]
             assert np.max(np.abs(got - want), initial=0.0) < 1e-13, g
+
+
+def _equal_diagonal(n: int) -> np.ndarray:
+    # The matrix of TestRoundRobin.test_zero_entries_with_equal_diagonal.
+    a = np.eye(n)
+    a[0, 1] = a[1, 0] = 0.5
+    return a
+
+
+def _overflow_guard(n: int) -> np.ndarray:
+    # The matrix of TestRoundRobin.test_overflow_guard_in_a_round.
+    a = _harmonic_floats(cycle(n))
+    a[0, 4] = a[4, 0] = 1e-310
+    a[2, 2] = 1.0
+    return a
+
+
+def _assert_stack_matches_reference(stack, **kwargs):
+    got = jacobi_eigenvalues_stack(stack, **kwargs)
+    assert len(got) == len(stack)
+    for a, (eig, off, sweeps) in zip(stack, got):
+        want = round_robin_jacobi_eigenvalues(a, **kwargs)
+        assert eig.tobytes() == want[0].tobytes()
+        assert (off, sweeps) == want[1:]
+    return got
+
+
+class TestStackedJacobi:
+    """Every member of a stack gets the bits the single-matrix round-robin
+    solver (the reference in conftest) gives it alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 20, 40])
+    def test_seeded_random_graphs(self, n):
+        rng = random.Random(n)
+        stack = [
+            _harmonic_floats(random_graph(rng, n, p))
+            for p in (0.05, 0.15, 0.3, 0.5, 0.7, 0.9)
+            for _ in range(2)
+        ]
+        _assert_stack_matches_reference(stack)
+
+    @pytest.mark.parametrize("n, special", [(6, _equal_diagonal), (9, _overflow_guard)])
+    def test_mixed_members(self, n, special):
+        rng = random.Random(n)
+        isolated = disjoint_union([random_graph(rng, n - 2, 0.6), build_graph(2, [])])
+        stack = [
+            _harmonic_floats(random_graph(rng, n, 0.5)),
+            np.zeros((n, n)),
+            np.diag(np.arange(1.0, n + 1.0)),
+            special(n),
+            _harmonic_floats(isolated),
+            _harmonic_floats(random_graph(rng, n, 0.2)),
+        ]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _assert_stack_matches_reference(stack)
+        assert [sweeps for _, _, sweeps in got][1:3] == [0, 0]
+
+    def test_tolerance_and_max_sweeps_per_member(self):
+        rng = random.Random(3)
+        stack = [_harmonic_floats(random_graph(rng, 12, 0.4)) for _ in range(6)]
+        _assert_stack_matches_reference(stack, tol=1e-6, max_sweeps=7)
+
+    def test_order_zero(self):
+        got = jacobi_eigenvalues_stack(np.zeros((3, 0, 0)))
+        assert [(eig.size, off, sweeps) for eig, off, sweeps in got] == [(0, 0.0, 0)] * 3
+        assert jacobi_eigenvalues_stack([]) == []
+        reports = harmonic_energies([build_graph(0, []), cycle(5), build_graph(0, [])])
+        assert [r.graph6 for r in reports] == ["?", encode_graph6(cycle(5)), "?"]
+        assert reports[0].he == 0.0 and reports[0].spectrum == Spectrum((), 0.0, 0)
+
+    def test_input_unmodified(self):
+        rng = random.Random(5)
+        stack = np.array([_harmonic_floats(random_graph(rng, 10, 0.5)) for _ in range(4)])
+        before = stack.copy()
+        jacobi_eigenvalues_stack(stack)
+        assert stack.tobytes() == before.tobytes()
+
+    def test_only_one_member_fails_to_converge(self):
+        # Entries (0, 3) and (1, 2) form the first round, so that member
+        # converges in one sweep; the dense one needs more.
+        one_round = np.zeros((4, 4))
+        one_round[0, 3] = one_round[3, 0] = 0.5
+        one_round[1, 2] = one_round[2, 1] = -0.25
+        dense = _harmonic_floats(complete(4)) + np.diag([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(JacobiConvergenceError) as want:
+            round_robin_jacobi_eigenvalues(dense, max_sweeps=1)
+        with pytest.raises(JacobiConvergenceError) as err:
+            jacobi_eigenvalues_stack([np.zeros((4, 4)), one_round, dense, one_round], max_sweeps=1)
+        assert (err.value.residual, err.value.sweeps) == (want.value.residual, 1)
+        # With two members stuck, the error is the first one's; doubling
+        # the matrix doubles its residual exactly.
+        with pytest.raises(JacobiConvergenceError) as err:
+            jacobi_eigenvalues_stack([one_round, 2.0 * dense, dense], max_sweeps=1)
+        assert err.value.residual == 2.0 * want.value.residual
+        assert jacobi_eigenvalues_stack([one_round], max_sweeps=1)[0][2] == 1
+
+    def test_chunks_in_input_order(self, monkeypatch):
+        # 21 graphs of order 40 span the 20-matrix chunk at that order;
+        # graphs of order 5 sit between them and are solved after them.
+        calls = []
+
+        def spy(stack, *args, **kwargs):
+            calls.append(np.shape(stack))
+            return jacobi_eigenvalues_stack(stack, *args, **kwargs)
+
+        monkeypatch.setattr(spectrum_mod, "jacobi_eigenvalues_stack", spy)
+        rng = random.Random(40)
+        graphs = [random_graph(rng, 5 if k % 4 == 1 else 40, 0.3) for k in range(28)]
+        reports = harmonic_energies(graphs)
+        chunk = spectrum_mod.STACK_ENTRIES // (40 * 40)
+        assert calls == [(chunk, 40, 40), (21 - chunk, 40, 40), (7, 5, 5)]
+        for g, report in zip(graphs, reports):
+            eig, off, sweeps = round_robin_jacobi_eigenvalues(_harmonic_floats(g))
+            assert report.graph6 == encode_graph6(g)
+            assert np.array(report.spectrum.eigenvalues).tobytes() == eig.tobytes()
+            assert (report.spectrum.off_norm, report.spectrum.sweeps) == (off, sweeps)
+            assert report.he == float(sum(abs(x) for x in eig.tolist()))
 
 
 class TestHarmonicEnergy:
