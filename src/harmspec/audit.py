@@ -22,7 +22,9 @@ verdict changing between runs is reported as drift.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -371,9 +373,10 @@ def audit_claim(claim_id: str, **params: int) -> AuditResult:
 def audit_all(claim_ids: Iterable[str] | None = None) -> list[AuditResult]:
     """Run every registered claim over its default parameter grid.
 
-    Results come back in a deterministic order (claim id, then parameters).
+    Results come back in a deterministic order (claim id, then parameters);
+    a claim id given more than once is run once.
     """
-    ids = sorted(CLAIMS) if claim_ids is None else sorted(claim_ids)
+    ids = sorted(CLAIMS) if claim_ids is None else sorted(set(claim_ids))
     results = []
     for cid in ids:
         claim = CLAIMS.get(cid)
@@ -468,11 +471,8 @@ def results_json(results: Iterable[AuditResult], drift: list[str] | None = None)
 
 
 def results_csv(results: Iterable[AuditResult]) -> str:
-    import csv as _csv
-    import io as _io
-
-    out = _io.StringIO()
-    writer = _csv.writer(out, lineterminator="\n")
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["claim", "params", "verdict", "evidence"])
     for r in results:
         writer.writerow([r.claim_id, r.params_key, r.verdict, json.dumps(r.evidence, sort_keys=True)])

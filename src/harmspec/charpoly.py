@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Graph
+from .harmonic import harmonic_matrix
 
 Rat = int | Fraction
 
@@ -488,8 +489,6 @@ def closed_form_petersen() -> RatPoly:
 
 def graph_char_poly(g: Graph) -> RatPoly:
     """Exact characteristic polynomial of the harmonic matrix of g."""
-    from .harmonic import harmonic_matrix
-
     return char_poly(harmonic_matrix(g))
 
 

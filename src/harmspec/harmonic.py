@@ -1,15 +1,16 @@
-"""The harmonic matrix of a graph, with exact rational entries, and the
-harmonic index.
+"""The harmonic matrix of a graph and the harmonic index.
 
 The harmonic matrix has entry 2/(d_i + d_j) for every edge ij and 0
 elsewhere; the harmonic index is the same quantity summed over edges.
-Everything here stays in exact arithmetic; conversion to floats happens
-only in the eigensolver.
+Both are exact; the eigensolver takes the matrix as correctly rounded
+floats built straight from the degrees.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 from .graphs import Graph, degrees
 
@@ -27,6 +28,17 @@ def harmonic_matrix(g: Graph) -> list[list[Fraction]]:
         w = Fraction(2, deg[u] + deg[v])
         m[u][v] = w
         m[v][u] = w
+    return m
+
+
+def harmonic_float_matrix(g: Graph) -> np.ndarray:
+    """harmonic_matrix(g) as floats, built without Fractions. 2.0 / (d_u + d_v)
+    divides two exactly represented integers, so IEEE rounds it correctly:
+    it is the double float(Fraction(2, d_u + d_v)) returns, bit for bit."""
+    deg = degrees(g)
+    m = np.zeros((g.n, g.n))
+    for u, v in g.edges():
+        m[u, v] = m[v, u] = 2.0 / (deg[u] + deg[v])
     return m
 
 

@@ -16,7 +16,7 @@ leaves the stack once its off-diagonal norm is at or below its threshold;
 its arithmetic, and so every bit of its results, is the same in any stack
 as alone. A single matrix is a stack of one. The order is fixed and there
 is no randomization, so a given matrix always produces bit-identical
-output. Exact entries are converted to floats once, with correct rounding,
+output. Harmonic matrices are built as floats (harmonic_float_matrix),
 and every tolerance is relative to the Frobenius norm.
 """
 
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, encode_graph6
-from .harmonic import harmonic_matrix
+from .harmonic import harmonic_float_matrix
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
@@ -74,16 +74,6 @@ class EnergyReport:
     he: float
     graph6: str
     spectrum: Spectrum
-
-
-def _to_float_matrix(m: Sequence[Sequence[Fraction | int | float]]) -> np.ndarray:
-    # Each distinct entry object is converted once: a harmonic matrix shares
-    # one zero per row and one weight per edge. The copied rows keep every
-    # entry alive until the end, so no two entries share an id.
-    rows = [list(row) for row in m]
-    entries = {id(x): x for row in rows for x in row}
-    floats = {key: float(x) for key, x in entries.items()}
-    return np.array([[floats[id(x)] for x in row] for row in rows], dtype=float)
 
 
 def _norms(rows: np.ndarray) -> list[float]:
@@ -233,7 +223,7 @@ def eigenvalues_symmetric(
 ) -> Spectrum:
     """Spectrum of an exact symmetric matrix via the Jacobi solver."""
     _check_tol(tol)
-    a = _to_float_matrix(m)
+    a = np.array(m, dtype=float)
     if a.size and not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     eig, off, sweeps = jacobi_eigenvalues(a, tol)
@@ -253,7 +243,7 @@ def harmonic_energies(graphs: Sequence[Graph], tol: float = DEFAULT_TOL) -> list
         size = max(1, STACK_ENTRIES // (n * n or 1))
         for start in range(0, len(members), size):
             chunk = members[start : start + size]
-            stack = [_to_float_matrix(harmonic_matrix(graphs[i])) for i in chunk]
+            stack = [harmonic_float_matrix(graphs[i]) for i in chunk]
             for i, (eig, off, sweeps) in zip(chunk, jacobi_eigenvalues_stack(stack, tol)):
                 spec = Spectrum(tuple(float(x) for x in eig), off, sweeps)
                 he = float(sum(abs(x) for x in spec.eigenvalues))

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from importlib import resources
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from harmspec.cli import main
 from harmspec.graphs import decode_graph6, encode_graph6
+from harmspec.harmonic import harmonic_matrix
 
 from conftest import random_graph
 
@@ -111,6 +113,16 @@ class TestCharpoly:
         payload = json.loads(out)
         validate(payload, "charpoly")
         assert payload["degree"] == 60
+
+    @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
+    def test_mixed_orders_golden(self, capsys, fmt, suffix):
+        # Orders 0 to 40 interleaved; the expected outputs come from solving
+        # each spectrum alone from the exact matrix.
+        code, out, err = run(
+            capsys, "charpoly", "--from-file", str(DATA / "energy_mixed.g6"), "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"charpoly_mixed.{suffix}").read_text()
 
 
 class TestEnergy:
@@ -229,6 +241,48 @@ class TestCensus:
         assert code == 0
         assert len(out.strip().splitlines()) == 22  # header plus 21 rows
 
+    def test_21_other_graphs_get_no_reference_comparison(self, capsys, tmp_path):
+        rng = random.Random(21)
+        path = tmp_path / "random21.g6"
+        path.write_text("".join(
+            encode_graph6(random_graph(rng, 10 if k % 2 else 20, 0.3)) + "\n" for k in range(21)
+        ))
+        code, out, _ = run(capsys, "census", "--from-file", str(path), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["records"]) == 21
+        assert payload["reference_comparison"] is None
+        code, out, _ = run(capsys, "census", "--from-file", str(path))
+        assert code == 0
+        assert "reference" not in out
+
+    def test_cubic10_from_file_keeps_reference_comparison(self, capsys, tmp_path):
+        _, text, _ = run(capsys, "census", "--n", "10", "--degree", "3", "--quiet")
+        _, js, _ = run(capsys, "census", "--n", "10", "--degree", "3", "--format", "json", "--quiet")
+        assert "reference comparison: 21/21 matched" in text
+        path = tmp_path / "cubic10.g6"
+        path.write_text("".join(r["graph6"] + "\n" for r in json.loads(js)["records"]))
+        assert run(capsys, "census", "--from-file", str(path)) == (0, text, "")
+        code, out, _ = run(capsys, "census", "--from-file", str(path), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["reference_comparison"] == json.loads(js)["reference_comparison"]
+
+    def test_energy_and_census_build_no_exact_matrix(self, capsys, monkeypatch, tmp_path):
+        # The spectra come from the float matrix; Fractions are for exact outputs.
+        def forbidden(g):
+            raise AssertionError("harmonic_matrix called")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "harmonic_matrix", None) is harmonic_matrix:
+                monkeypatch.setattr(module, "harmonic_matrix", forbidden)
+        with pytest.raises(AssertionError):
+            run(capsys, "charpoly", "--family", "petersen")
+        assert run(capsys, "energy", "--from-file", str(DATA / "energy_mixed.g6"))[0] == 0
+        assert run(capsys, "census", "--n", "8", "--degree", "3", "--quiet")[0] == 0
+        path = tmp_path / "mixed.g6"
+        path.write_text("Bw\nCw\n")
+        assert run(capsys, "census", "--from-file", str(path))[0] == 0
+
 
 class TestAudit:
     def test_restricted_run_json(self, capsys, tmp_path):
@@ -262,6 +316,17 @@ class TestAudit:
         )
         assert code == 2
         assert "DRIFT" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_repeated_claim_runs_once(self, capsys, fmt):
+        once = run(capsys, "audit", "--claim", "thm-petersen-energy", "--format", fmt)
+        twice = run(
+            capsys, "audit", "--claim", "thm-petersen-energy",
+            "--claim", "thm-petersen-energy", "--format", fmt,
+        )
+        assert once[0] == 0
+        assert twice == once
+        assert once[1].count("thm-petersen-energy") == 1
 
     def test_csv(self, capsys, tmp_path):
         baseline = tmp_path / "b.json"

@@ -1,12 +1,29 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 
-from harmspec.families import complete, path, petersen
-from harmspec.graphs import build_graph, degrees
-from harmspec.harmonic import harmonic_index, harmonic_matrix, matrix_json, matrix_text
+from harmspec.families import FAMILIES, FamilySpec, complete, generate, path, petersen
+from harmspec.graphs import (
+    build_graph,
+    decode_graph6,
+    degrees,
+    encode_graph6,
+    read_graph6_file,
+)
+from harmspec.harmonic import (
+    harmonic_float_matrix,
+    harmonic_index,
+    harmonic_matrix,
+    matrix_json,
+    matrix_text,
+)
 
-from conftest import graph_strategy
+from conftest import graph_strategy, random_graph
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_complete_matrix_pattern():
@@ -90,3 +107,45 @@ def test_matrix_json_pairs():
     assert payload["n"] == 2
     assert payload["entries"][0][1] == {"num": 1, "den": 1}
     assert payload["entries"][0][0] == {"num": 0, "den": 1}
+
+
+def _same_doubles(g) -> bool:
+    # The float matrix holds the bits of the exact matrix converted entry
+    # by entry, including the sign of every zero.
+    exact = np.array(harmonic_matrix(g), dtype=float).reshape(g.n, g.n)
+    return harmonic_float_matrix(g).tobytes() == exact.tobytes()
+
+
+@given(graph_strategy(max_n=12))
+@settings(max_examples=100, deadline=None)
+def test_float_matrix_is_rounded_exact_matrix(g):
+    assert _same_doubles(g)
+
+
+def test_float_matrix_random_graphs_through_graph6():
+    # Orders 63 and up take the 4-byte graph6 header.
+    rng = random.Random(70)
+    for n in (0, 1, 2, 5, 12, 30, 62, 63, 64, 70):
+        for p in (0.1, 0.5, 0.9):
+            g = decode_graph6(encode_graph6(random_graph(rng, n, p)))
+            assert _same_doubles(g), (n, p)
+
+
+def test_float_matrix_every_family():
+    built = 0
+    for family in FAMILIES:
+        for n in range(1, 13):
+            for m in range(1, 6):
+                try:
+                    g = generate(FamilySpec(family, n=n, m=m))
+                except ValueError:
+                    continue
+                assert _same_doubles(g), (family, n, m)
+                built += 1
+    assert built > 200
+
+
+def test_float_matrix_mixed_orders_file():
+    graphs = read_graph6_file(str(DATA / "energy_mixed.g6"))
+    assert graphs
+    assert all(_same_doubles(g) for g in graphs)

@@ -17,12 +17,11 @@ from harmspec.families import (
     star,
 )
 from harmspec.graphs import build_graph, disjoint_union, encode_graph6, relabel
-from harmspec.harmonic import harmonic_matrix
+from harmspec.harmonic import harmonic_float_matrix, harmonic_matrix
 from harmspec.spectrum import (
     JacobiConvergenceError,
     Spectrum,
     _round_robin,
-    _to_float_matrix,
     eigenvalues_symmetric,
     harmonic_energies,
     harmonic_energy,
@@ -90,10 +89,6 @@ class TestEigensolver:
             eigenvalues_symmetric(harmonic_matrix(cycle(10)), tol=tol)
 
 
-def _harmonic_floats(g) -> np.ndarray:
-    return _to_float_matrix(harmonic_matrix(g))
-
-
 def _eigvalsh_error(a: np.ndarray) -> float:
     eig, _, _ = jacobi_eigenvalues(a)
     return float(np.max(np.abs(eig - np.sort(np.linalg.eigvalsh(a))[::-1]), initial=0.0))
@@ -125,7 +120,7 @@ class TestRoundRobin:
         # lies within 1/(2 Q^2) = 5e-11 of it (ROOT_DENOMINATOR_MAX = Q).
         rng = random.Random(64)
         worst = max(
-            _eigvalsh_error(_harmonic_floats(random_graph(rng, 64, p)))
+            _eigvalsh_error(harmonic_float_matrix(random_graph(rng, 64, p)))
             for p in (0.05, 0.15, 0.5, 0.9)
             for _ in range(2)
         )
@@ -145,11 +140,11 @@ class TestRoundRobin:
     @pytest.mark.parametrize(
         "name, a",
         [
-            ("K16", _harmonic_floats(complete(16))),
-            ("K17", _harmonic_floats(complete(17))),
-            ("petersen", _harmonic_floats(petersen())),
-            ("4 x petersen", _harmonic_floats(disjoint_union([petersen()] * 4))),
-            ("5 x C7", _harmonic_floats(disjoint_union([cycle(7)] * 5))),
+            ("K16", harmonic_float_matrix(complete(16))),
+            ("K17", harmonic_float_matrix(complete(17))),
+            ("petersen", harmonic_float_matrix(petersen())),
+            ("4 x petersen", harmonic_float_matrix(disjoint_union([petersen()] * 4))),
+            ("5 x C7", harmonic_float_matrix(disjoint_union([cycle(7)] * 5))),
             ("3 x dense 6", np.kron(np.eye(3), np.full((6, 6), 0.25) + np.diag([0.5] * 6))),
         ],
     )
@@ -195,7 +190,7 @@ class TestRoundRobin:
         assert got[1:] == want[1:]
 
     def test_overflow_guard_in_a_round(self):
-        a = _harmonic_floats(cycle(9))
+        a = harmonic_float_matrix(cycle(9))
         a[0, 4] = a[4, 0] = 1e-310
         a[2, 2] = 1.0
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -203,7 +198,7 @@ class TestRoundRobin:
 
     def test_agrees_with_cyclic_on_audit_grid(self):
         for g in audit_exact_polynomial_graphs():
-            a = _harmonic_floats(g)
+            a = harmonic_float_matrix(g)
             got = jacobi_eigenvalues(a)[0]
             want = cyclic_jacobi_eigenvalues(a)[0]
             assert np.max(np.abs(got - want), initial=0.0) < 1e-13, g
@@ -218,7 +213,7 @@ def _equal_diagonal(n: int) -> np.ndarray:
 
 def _overflow_guard(n: int) -> np.ndarray:
     # The matrix of TestRoundRobin.test_overflow_guard_in_a_round.
-    a = _harmonic_floats(cycle(n))
+    a = harmonic_float_matrix(cycle(n))
     a[0, 4] = a[4, 0] = 1e-310
     a[2, 2] = 1.0
     return a
@@ -242,7 +237,7 @@ class TestStackedJacobi:
     def test_seeded_random_graphs(self, n):
         rng = random.Random(n)
         stack = [
-            _harmonic_floats(random_graph(rng, n, p))
+            harmonic_float_matrix(random_graph(rng, n, p))
             for p in (0.05, 0.15, 0.3, 0.5, 0.7, 0.9)
             for _ in range(2)
         ]
@@ -253,12 +248,12 @@ class TestStackedJacobi:
         rng = random.Random(n)
         isolated = disjoint_union([random_graph(rng, n - 2, 0.6), build_graph(2, [])])
         stack = [
-            _harmonic_floats(random_graph(rng, n, 0.5)),
+            harmonic_float_matrix(random_graph(rng, n, 0.5)),
             np.zeros((n, n)),
             np.diag(np.arange(1.0, n + 1.0)),
             special(n),
-            _harmonic_floats(isolated),
-            _harmonic_floats(random_graph(rng, n, 0.2)),
+            harmonic_float_matrix(isolated),
+            harmonic_float_matrix(random_graph(rng, n, 0.2)),
         ]
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             got = _assert_stack_matches_reference(stack)
@@ -266,7 +261,7 @@ class TestStackedJacobi:
 
     def test_tolerance_and_max_sweeps_per_member(self):
         rng = random.Random(3)
-        stack = [_harmonic_floats(random_graph(rng, 12, 0.4)) for _ in range(6)]
+        stack = [harmonic_float_matrix(random_graph(rng, 12, 0.4)) for _ in range(6)]
         _assert_stack_matches_reference(stack, tol=1e-6, max_sweeps=7)
 
     def test_order_zero(self):
@@ -279,7 +274,7 @@ class TestStackedJacobi:
 
     def test_input_unmodified(self):
         rng = random.Random(5)
-        stack = np.array([_harmonic_floats(random_graph(rng, 10, 0.5)) for _ in range(4)])
+        stack = np.array([harmonic_float_matrix(random_graph(rng, 10, 0.5)) for _ in range(4)])
         before = stack.copy()
         jacobi_eigenvalues_stack(stack)
         assert stack.tobytes() == before.tobytes()
@@ -290,7 +285,7 @@ class TestStackedJacobi:
         one_round = np.zeros((4, 4))
         one_round[0, 3] = one_round[3, 0] = 0.5
         one_round[1, 2] = one_round[2, 1] = -0.25
-        dense = _harmonic_floats(complete(4)) + np.diag([0.1, 0.2, 0.3, 0.4])
+        dense = harmonic_float_matrix(complete(4)) + np.diag([0.1, 0.2, 0.3, 0.4])
         with pytest.raises(JacobiConvergenceError) as want:
             round_robin_jacobi_eigenvalues(dense, max_sweeps=1)
         with pytest.raises(JacobiConvergenceError) as err:
@@ -319,7 +314,7 @@ class TestStackedJacobi:
         chunk = spectrum_mod.STACK_ENTRIES // (40 * 40)
         assert calls == [(chunk, 40, 40), (21 - chunk, 40, 40), (7, 5, 5)]
         for g, report in zip(graphs, reports):
-            eig, off, sweeps = round_robin_jacobi_eigenvalues(_harmonic_floats(g))
+            eig, off, sweeps = round_robin_jacobi_eigenvalues(harmonic_float_matrix(g))
             assert report.graph6 == encode_graph6(g)
             assert np.array(report.spectrum.eigenvalues).tobytes() == eig.tobytes()
             assert (report.spectrum.off_norm, report.spectrum.sweeps) == (off, sweeps)
@@ -355,6 +350,16 @@ class TestHarmonicEnergy:
 
         g = cycle(5)
         assert harmonic_energy(g).graph6 == encode_graph6(g)
+
+    @given(graph_strategy(max_n=12))
+    @settings(max_examples=60, deadline=None)
+    def test_same_spectrum_as_exact_matrix(self, g):
+        # Built from the degrees or converted from Fractions, the solver
+        # sees the same doubles and returns the same bits.
+        got = harmonic_energy(g).spectrum
+        want = eigenvalues_symmetric(harmonic_matrix(g))
+        assert np.array(got.eigenvalues).tobytes() == np.array(want.eigenvalues).tobytes()
+        assert (got.off_norm, got.sweeps) == (want.off_norm, want.sweeps)
 
 
 class TestSpectralProperties:
