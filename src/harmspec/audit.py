@@ -16,6 +16,13 @@ kinds names a graph and a claimed value per grid point and shares its
 kind's check; the census-structure claims, the disjoint-union lemma and
 the friendship energy carry their own evidence and have their own check.
 
+A check solves nothing itself: at a grid point it names the graphs whose
+harmonic energy and exact characteristic polynomial it needs, and how its
+verdict follows from them. An audit solves each distinct labeled graph
+of all its grid points once, the spectra as one stacked Jacobi batch and
+the polynomials as one multimodular batch, whose kernel calls share the
+lanes of several matrices of one order, and then builds the verdicts.
+
 Verdicts are frozen into a baseline file committed with the package; a
 verdict changing between runs is reported as drift.
 """
@@ -33,6 +40,7 @@ from typing import Callable, Iterable
 
 from .census import cached_census, canonical_form, compare_reference_table
 from .charpoly import (
+    RatPoly,
     closed_form_book,
     closed_form_complete,
     closed_form_complete_bipartite,
@@ -45,7 +53,7 @@ from .charpoly import (
     closed_form_windmill4,
     closed_form_windmill5,
     closed_form_windmill_product,
-    graph_char_poly,
+    graph_char_polys,
     poly_text,
 )
 from .families import (
@@ -60,7 +68,7 @@ from .families import (
     star,
 )
 from .graphs import Graph, disjoint_union
-from .spectrum import harmonic_energy
+from .spectrum import harmonic_energies
 
 EXACT_MATCH = "EXACT-MATCH"
 NUMERIC_MATCH = "NUMERIC-MATCH"
@@ -88,19 +96,27 @@ class AuditResult:
 
 
 @dataclass(frozen=True)
+class Job:
+    """What one grid point of a check needs and how its verdict follows:
+    ``finish(hes, cps)`` gets the harmonic energies of the graphs in
+    ``spectra`` and the exact characteristic polynomials of the graphs in
+    ``charpolys``, in order, and returns the verdict and its evidence."""
+
+    spectra: tuple[Graph, ...]
+    charpolys: tuple[Graph, ...]
+    finish: Callable[[list[float], list[RatPoly]], tuple[str, dict]]
+
+
+@dataclass(frozen=True)
 class Claim:
     """A registered claim. ``check`` takes one grid point as keyword
-    arguments and returns the verdict and its evidence."""
+    arguments and returns its Job."""
 
     id: str
     kind: str
     description: str
     grid: tuple[tuple[tuple[str, int], ...], ...]
-    check: Callable[..., tuple[str, dict]]
-
-    def audit(self, params: dict[str, int]) -> AuditResult:
-        verdict, evidence = self.check(**params)
-        return AuditResult(self.id, tuple(sorted(params.items())), verdict, evidence)
+    check: Callable[..., Job]
 
 
 def _numeric(ok: bool) -> str:
@@ -118,20 +134,20 @@ def _numeric(ok: bool) -> str:
 # would not see it.
 
 
-def _exact_polynomial(case: Callable, **params: int) -> tuple[str, dict]:
+def _exact_polynomial(case: Callable, **params: int) -> Job:
     claimed, g = case(**params)
-    residual = claimed - graph_char_poly(g)
-    evidence = {
-        "claimed": poly_text(claimed),
-        "residual": poly_text(residual),
-        "residual_is_zero": residual.is_zero,
-    }
+    return Job((), (g,), lambda hes, cps: _residual_evidence(
+        claimed - cps[0], claimed=poly_text(claimed)))
+
+
+def _residual_evidence(residual: RatPoly, **evidence) -> tuple[str, dict]:
+    evidence.update(residual=poly_text(residual), residual_is_zero=residual.is_zero)
     return (EXACT_MATCH if residual.is_zero else MISMATCH), evidence
 
 
-def _numeric_energy(case: Callable, **params: int) -> tuple[str, dict]:
+def _numeric_energy(case: Callable, **params: int) -> Job:
     claimed, g = case(**params)
-    return _energy_evidence(claimed, harmonic_energy(g).he)
+    return Job((g,), (), lambda hes, cps: _energy_evidence(claimed, hes[0]))
 
 
 def _energy_evidence(claimed: float, he: float) -> tuple[str, dict]:
@@ -139,11 +155,14 @@ def _energy_evidence(claimed: float, he: float) -> tuple[str, dict]:
     return _numeric(delta < NUMERIC_TOL), {"claimed": claimed, "computed": he, "delta": delta}
 
 
-def _inequality(case: Callable, **params: int) -> tuple[str, dict]:
+def _inequality(case: Callable, **params: int) -> Job:
     bound, g = case(**params)
-    he = harmonic_energy(g).he
-    margin = he - bound
-    return _numeric(margin >= -NUMERIC_TOL), {"bound": bound, "computed": he, "margin": margin}
+
+    def finish(hes, cps):
+        margin = hes[0] - bound
+        return _numeric(margin >= -NUMERIC_TOL), {"bound": bound, "computed": hes[0], "margin": margin}
+
+    return Job((g,), (), finish)
 
 
 _EXACT = "exact-polynomial"
@@ -163,15 +182,18 @@ def _row(claim_id: str, kind: str, description: str, grid: tuple, case: Callable
 # ---------------------------------------------------------------------------
 
 
-def _friendship_energy(n: int) -> tuple[str, dict]:
+def _friendship_energy(n: int) -> Job:
     # The theorem claims HE = n. Its own proof lists the eigenvalues, whose
     # absolute sum is recorded alongside as corroborating evidence.
     eigensum = (2 * n - 1) / 2 + math.sqrt((n + 1) ** 2 + 32 * n) / (2 * (n + 1))
-    he = harmonic_energy(friendship(n)).he
-    verdict, evidence = _energy_evidence(float(n), he)
-    evidence["proof_eigenvalue_sum"] = eigensum
-    evidence["proof_eigenvalue_sum_delta"] = abs(he - eigensum)
-    return verdict, evidence
+
+    def finish(hes, cps):
+        verdict, evidence = _energy_evidence(float(n), hes[0])
+        evidence["proof_eigenvalue_sum"] = eigensum
+        evidence["proof_eigenvalue_sum_delta"] = abs(hes[0] - eigensum)
+        return verdict, evidence
+
+    return Job((friendship(n),), (), finish)
 
 
 # Deterministic pairs for the disjoint union lemma.
@@ -184,27 +206,35 @@ _UNION_PAIRS: tuple[tuple[str, Callable[[], Graph], str, Callable[[], Graph]], .
 )
 
 
-def _union_charpoly(pair: int) -> tuple[str, dict]:
+def _union_graphs(pair: int) -> tuple[str, tuple[Graph, Graph, Graph]]:
+    """The pair's parts label, and its graphs a, b and their union."""
     name_a, make_a, name_b, make_b = _UNION_PAIRS[pair]
     a, b = make_a(), make_b()
-    product = graph_char_poly(a) * graph_char_poly(b)
-    residual = graph_char_poly(disjoint_union([a, b])) - product
-    evidence = {
-        "parts": f"{name_a} + {name_b}",
-        "residual": poly_text(residual),
-        "residual_is_zero": residual.is_zero,
-    }
-    return (EXACT_MATCH if residual.is_zero else MISMATCH), evidence
+    return f"{name_a} + {name_b}", (a, b, disjoint_union([a, b]))
 
 
-def _union_energy(pair: int) -> tuple[str, dict]:
-    name_a, make_a, name_b, make_b = _UNION_PAIRS[pair]
-    a, b = make_a(), make_b()
-    he_sum = harmonic_energy(a).he + harmonic_energy(b).he
-    he_union = harmonic_energy(disjoint_union([a, b])).he
-    delta = abs(he_union - he_sum)
-    evidence = {"parts": f"{name_a} + {name_b}", "sum": he_sum, "union": he_union, "delta": delta}
-    return _numeric(delta < NUMERIC_TOL), evidence
+def _union_charpoly(pair: int) -> Job:
+    parts, graphs = _union_graphs(pair)
+    return Job((), graphs, lambda hes, cps: _residual_evidence(
+        cps[2] - cps[0] * cps[1], parts=parts))
+
+
+def _union_energy(pair: int) -> Job:
+    parts, graphs = _union_graphs(pair)
+
+    def finish(hes, cps):
+        he_sum, he_union = hes[0] + hes[1], hes[2]
+        delta = abs(he_union - he_sum)
+        evidence = {"parts": parts, "sum": he_sum, "union": he_union, "delta": delta}
+        return _numeric(delta < NUMERIC_TOL), evidence
+
+    return Job(graphs, (), finish)
+
+
+def _census(verdict: Callable[[], tuple[str, dict]]) -> Callable[[], Job]:
+    """A census-structure check: it needs nothing solved by the audit and
+    reads the memoized order-10 cubic census for its verdict."""
+    return lambda: Job((), (), lambda hes, cps: verdict())
 
 
 def _petersen_index(records) -> int | None:
@@ -344,15 +374,15 @@ CLAIMS: dict[str, Claim] = {c.id: c for c in (
     Claim("lemma-union-energy-sum", _ENERGY, "disjoint union energy is the sum",
           _GRID_PAIRS, _union_energy),
     Claim("thm-cubic10-he-classes", _CENSUS, "order-10 cubic census: three pairs, fifteen singletons",
-          _ONCE, _cubic10_classes),
+          _ONCE, _census(_cubic10_classes)),
     Claim("thm-cubic10-eigdiff", _CENSUS, "same-energy cubic pairs differ in exactly three eigenvalues",
-          _ONCE, _cubic10_eigdiff),
+          _ONCE, _census(_cubic10_eigdiff)),
     Claim("thm-petersen-not-unique", _CENSUS, "Petersen shares its energy class with one other graph",
-          _ONCE, _petersen_not_unique),
+          _ONCE, _census(_petersen_not_unique)),
     Claim("thm-petersen-max-energy", _CENSUS, "Petersen's class is the census maximum, 16/3",
-          _ONCE, _petersen_max),
+          _ONCE, _census(_petersen_max)),
     Claim("reference-table-multiset", _CENSUS, "computed census energies match the reference multiset",
-          _ONCE, _reference_table),
+          _ONCE, _census(_reference_table)),
 )}
 
 
@@ -367,22 +397,36 @@ def audit_claim(claim_id: str, **params: int) -> AuditResult:
             f"claim {claim_id!r} takes parameters ({', '.join(expected)}), "
             f"got ({', '.join(sorted(params))})"
         )
-    return claim.audit(params)
+    return _audit([(claim, params)])[0]
 
 
 def audit_all(claim_ids: Iterable[str] | None = None) -> list[AuditResult]:
     """Run every registered claim over its default parameter grid.
 
     Results come back in a deterministic order (claim id, then parameters);
-    a claim id given more than once is run once.
+    a claim id given more than once is run once. Every id is checked before
+    anything is solved.
     """
     ids = sorted(CLAIMS) if claim_ids is None else sorted(set(claim_ids))
-    results = []
     for cid in ids:
-        claim = CLAIMS.get(cid)
-        if claim is None:
+        if cid not in CLAIMS:
             raise ValueError(f"unknown claim id {cid!r}")
-        results.extend(claim.audit(dict(point)) for point in claim.grid)
+    return _audit([(CLAIMS[cid], dict(point)) for cid in ids for point in CLAIMS[cid].grid])
+
+
+def _audit(points: list[tuple[Claim, dict[str, int]]]) -> list[AuditResult]:
+    """Verdicts at the given grid points. Every distinct graph the checks
+    need is solved once: all spectra in one harmonic_energies call, all
+    exact characteristic polynomials in one graph_char_polys call."""
+    jobs = [claim.check(**params) for claim, params in points]
+    spectra = list(dict.fromkeys(g for job in jobs for g in job.spectra))
+    charpolys = list(dict.fromkeys(g for job in jobs for g in job.charpolys))
+    he = dict(zip(spectra, (r.he for r in harmonic_energies(spectra))))
+    cp = dict(zip(charpolys, graph_char_polys(charpolys)))
+    results = []
+    for (claim, params), job in zip(points, jobs):
+        verdict, evidence = job.finish([he[g] for g in job.spectra], [cp[g] for g in job.charpolys])
+        results.append(AuditResult(claim.id, tuple(sorted(params.items())), verdict, evidence))
     return results
 
 

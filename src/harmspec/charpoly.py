@@ -9,10 +9,12 @@ coefficient of det(xI - A) is a signed sum of principal minors, so by
 Hadamard's inequality its absolute value is at most prod_i (1 + ||a_i||)
 over the rows a_i of A. Modulo each of as many primes below 2^31 as it
 takes for their product to exceed twice that bound, A is reduced to upper
-Hessenberg form by a similarity transform, for all primes at once in numpy
-int64, and the row recurrence of the Hessenberg form gives its
-characteristic polynomial. The Chinese remainder theorem recovers the
-coefficients in the symmetric range. One further prime, left out of the
+Hessenberg form by a similarity transform, and the row recurrence of the
+Hessenberg form gives its characteristic polynomial. The kernel does this
+in numpy int64 for a stack of (matrix, prime) lanes at once, each lane on
+its own, so the lanes of several matrices of one order share a kernel
+call. The Chinese remainder theorem recovers each matrix's coefficients
+in the symmetric range. One further prime per matrix, left out of the
 reconstruction, must agree with the result, or ArithmeticError is raised.
 See Cohen, "A Course in Computational Algebraic Number Theory", 2.2.4,
 and Dumas, Pernet and Wan, "Efficient computation of the characteristic
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -188,7 +190,8 @@ def _coerce(value) -> "RatPoly":
 _PRIME_TOP = 2**31 - 1
 _PRIMES: list[int] = []
 
-# Primes reduced together in one (chunk, n, n) int64 array. Larger chunks
+# (Matrix, prime) lanes of one order reduced together in one (chunk, n, n)
+# int64 array; a chunk may hold the lanes of several matrices. Larger chunks
 # spend less time in per-call numpy overhead but hold larger arrays: all
 # primes in one chunk made `harmspec charpoly` on six G(n, p) graphs with
 # n <= 40 about a third faster and raised its peak memory by 9%.
@@ -230,18 +233,58 @@ def _primes(k: int) -> list[int]:
     return _PRIMES[:k]
 
 
+def char_polys(matrices: Iterable[Sequence[Sequence[Rat]]]) -> list[RatPoly]:
+    """Monic characteristic polynomials det(xI - M) of square rational
+    matrices, computed exactly, in input order.
+
+    Every matrix keeps its own scale, coefficient bound, primes and check
+    prime. The (matrix, prime) lanes of all matrices of one order are
+    reduced PRIME_CHUNK at a time, so one kernel call may span several
+    matrices; a chunk's residues are built only when it runs. Raises
+    ValueError for a non-square matrix before any reduction."""
+    plans = [_modular_plan(m) for m in matrices]
+    by_order: dict[int, list[int]] = {}
+    for i, plan in enumerate(plans):
+        by_order.setdefault(len(plan.index), []).append(i)
+    residues: list[list[list[int]]] = [[] for _ in plans]
+    for n, members in by_order.items():
+        lanes = [(i, q) for i in members for q in plans[i].moduli]
+        for start in range(0, len(lanes), PRIME_CHUNK):
+            chunk = lanes[start:start + PRIME_CHUNK]
+            h = np.empty((len(chunk), n, n), dtype=np.int64)
+            for lane, (i, q) in enumerate(chunk):
+                plan = plans[i]
+                h[lane] = np.array([v % q for v in plan.values], dtype=np.int64)[plan.index]
+            out = _hessenberg_char_poly(h, [q for _, q in chunk]).tolist()
+            for (i, _), row in zip(chunk, out):
+                residues[i].append(row)
+    return [_reconstruct(plan, rows) for plan, rows in zip(plans, residues)]
+
+
 def char_poly(matrix: Sequence[Sequence[Rat]]) -> RatPoly:
     """Monic characteristic polynomial det(xI - M) of a square rational
-    matrix, computed exactly."""
+    matrix, computed exactly: a batch of one."""
+    return char_polys([matrix])[0]
+
+
+class _Plan(NamedTuple):
+    """A square rational matrix M ready for the modular kernel: A = scale*M
+    as the (n, n) index into A's distinct entry values, and the primes
+    whose product exceeds twice the Hadamard bound prod(1 + ||a_i||) on
+    every coefficient of det(xI - A), followed by one more prime that
+    checks the reconstruction."""
+
+    scale: int
+    values: list[int]
+    index: np.ndarray
+    moduli: list[int]
+
+
+def _modular_plan(matrix: Sequence[Sequence[Rat]]) -> _Plan:
     n = len(matrix)
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    if n == 0:
-        return RatPoly.one()
-
-    # A = scale*M, kept as indices into its distinct entry values, and the
-    # Hadamard bound prod(1 + ||a_i||) on every coefficient of det(xI - A).
     scale = math.lcm(*(x.denominator for row in matrix for x in row))
     values: dict[int, int] = {}
     rows = []
@@ -250,28 +293,27 @@ def char_poly(matrix: Sequence[Sequence[Rat]]) -> RatPoly:
         ints = [x.numerator * (scale // x.denominator) for x in row]
         bound *= math.isqrt(sum(v * v for v in ints)) + 2
         rows.append([values.setdefault(v, len(values)) for v in ints])
-    index = np.array(rows, dtype=np.intp)
+    index = np.array(rows, dtype=np.intp).reshape(n, n)
 
     primes, modulus = [], 1
     while modulus <= 2 * bound:
         primes = _primes(len(primes) + 1)
         modulus *= primes[-1]
-    # One more prime, left out of the reconstruction, checks it.
-    check = _primes(len(primes) + 1)[-1]
-    moduli = [*primes, check]
+    return _Plan(scale, list(values), index, _primes(len(primes) + 1))
 
-    residues = []
-    for start in range(0, len(moduli), PRIME_CHUNK):
-        chunk = moduli[start:start + PRIME_CHUNK]
-        table = np.array([[v % q for v in values] for q in chunk], dtype=np.int64)
-        residues.append(_hessenberg_char_poly(table[:, index], chunk))
-    residues = np.concatenate(residues).T.tolist()
+
+def _reconstruct(plan: _Plan, residues: list[list[int]]) -> RatPoly:
+    """det(xI - M) from the residues of the coefficients of det(xI - A),
+    one row per modulus of the plan."""
+    n = len(plan.index)
+    *primes, check = plan.moduli
+    modulus = math.prod(primes)
 
     # Chinese remainders into (-modulus/2, modulus/2], which holds every
-    # coefficient because modulus > 2*bound.
+    # coefficient because modulus is more than twice their bound.
     weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
     cs = []
-    for r in residues:
+    for r in zip(*residues):
         c = sum(map(operator.mul, r, weights)) % modulus
         if 2 * c > modulus:
             c -= modulus
@@ -280,7 +322,7 @@ def char_poly(matrix: Sequence[Sequence[Rat]]) -> RatPoly:
         cs.append(c)
 
     # det(xI - M) = scale**-n * det(scale*x*I - A); rescale coefficients.
-    return RatPoly([Fraction(cs[i], scale ** (n - i)) for i in range(n + 1)])
+    return RatPoly([Fraction(cs[i], plan.scale ** (n - i)) for i in range(n + 1)])
 
 
 def _hessenberg_char_poly(h: np.ndarray, primes: list[int]) -> np.ndarray:
@@ -485,6 +527,12 @@ def closed_form_book(n: int) -> RatPoly:
 def closed_form_petersen() -> RatPoly:
     x = RatPoly.x()
     return (x - 1) * (x + Fraction(2, 3)) ** 4 * (x - Fraction(1, 3)) ** 5
+
+
+def graph_char_polys(graphs: Iterable[Graph]) -> list[RatPoly]:
+    """Exact characteristic polynomials of the harmonic matrices of the
+    graphs, in input order, as one batch."""
+    return char_polys(harmonic_matrix(g) for g in graphs)
 
 
 def graph_char_poly(g: Graph) -> RatPoly:

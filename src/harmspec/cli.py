@@ -22,7 +22,7 @@ from .census import (
     records_csv,
     truncate3,
 )
-from .charpoly import char_poly, factored_display, poly_json, poly_text
+from .charpoly import factored_display, graph_char_polys, poly_json, poly_text
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import Graph, degrees, encode_graph6, read_graph6_file
 from .harmonic import harmonic_index, harmonic_matrix, matrix_json, matrix_text
@@ -171,8 +171,8 @@ def _cmd_index(args) -> int:
 def _cmd_charpoly(args) -> int:
     graphs = _family_graphs(args)
     blocks, payloads = [], []
-    for g, report in zip(graphs, harmonic_energies(graphs)):
-        p = char_poly(harmonic_matrix(g))
+    reports = harmonic_energies(graphs)
+    for p, report in zip(graph_char_polys(graphs), reports):
         factored = factored_display(p, report.spectrum)
         blocks.append(f"{poly_text(p)}\n  = {factored}")
         payload = poly_json(p)

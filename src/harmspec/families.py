@@ -122,6 +122,9 @@ def generate(spec: FamilySpec) -> Graph:
     if fam not in _BUILDERS:
         raise ValueError(f"unknown family {fam!r}; known families: {', '.join(FAMILIES)}")
     build, fields = _BUILDERS[fam]
+    for name in ("n", "m"):
+        if name not in fields and getattr(spec, name) is not None:
+            raise ValueError(f"{fam}: does not take parameter {name}")
     return build(*(_arg(spec, name) for name in fields))
 
 

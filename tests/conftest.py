@@ -351,23 +351,16 @@ def divisor_rational_roots(p) -> list:
 
 
 def audit_exact_polynomial_graphs() -> list[Graph]:
-    """Every graph whose exact characteristic polynomial the audit checks:
-    the grid points of the exact-polynomial rows and the disjoint unions
-    of the union lemma, without repeats."""
+    """Every graph whose exact characteristic polynomial the audit takes,
+    over every grid point of every claim, without repeats."""
     from harmspec import audit
-    from harmspec.graphs import disjoint_union, encode_graph6
+    from harmspec.graphs import encode_graph6
 
     graphs = {}
     for claim in audit.CLAIMS.values():
-        if claim.kind != "exact-polynomial" or not isinstance(claim.check, functools.partial):
-            continue
-        case = claim.check.args[0]
         for point in claim.grid:
-            g = case(**dict(point))[1]
-            graphs[encode_graph6(g)] = g
-    for _, make_a, _, make_b in audit._UNION_PAIRS:
-        g = disjoint_union([make_a(), make_b()])
-        graphs[encode_graph6(g)] = g
+            for g in claim.check(**dict(point)).charpolys:
+                graphs[encode_graph6(g)] = g
     return list(graphs.values())
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from harmspec import audit, charpoly
 from harmspec.audit import (
     CLAIMS,
     EXACT_MATCH,
@@ -18,6 +19,7 @@ from harmspec.audit import (
     results_table,
     write_baseline,
 )
+from harmspec.graphs import encode_graph6
 
 FAST_CLAIMS = [
     "thm-complete-charpoly",
@@ -191,3 +193,50 @@ def test_renderings():
     json.dumps(payload)  # must be serializable
     csv_text = results_csv(results)
     assert csv_text.splitlines()[0] == "claim,params,verdict,evidence"
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The inputs of every spectrum and every exact CP call the audit makes:
+    the graph6 of each graph given to harmonic_energies as audit reaches it
+    (the census keeps its own reference), and each matrix given to
+    char_polys."""
+    calls = {"spectra": [], "charpolys": []}
+    energies, polys = audit.harmonic_energies, charpoly.char_polys
+
+    def spy_energies(graphs, *args, **kwargs):
+        calls["spectra"].append([encode_graph6(g) for g in graphs])
+        return energies(graphs, *args, **kwargs)
+
+    def spy_polys(matrices):
+        matrices = list(matrices)
+        calls["charpolys"].append([tuple(map(tuple, m)) for m in matrices])
+        return polys(matrices)
+
+    monkeypatch.setattr(audit, "harmonic_energies", spy_energies)
+    monkeypatch.setattr(charpoly, "char_polys", spy_polys)
+    return calls
+
+
+def test_audit_all_solves_each_distinct_graph_once(solves):
+    audit_all()
+    (spectra,) = solves["spectra"]
+    (charpolys,) = solves["charpolys"]
+    assert len(spectra) == len(set(spectra)) == 77
+    assert len(charpolys) == len(set(charpolys)) == 94
+
+
+@pytest.mark.parametrize("unknown", ["no-such-claim", "zz-no-such-claim"])
+def test_unknown_claim_rejected_before_any_solve(solves, unknown):
+    with pytest.raises(ValueError, match=unknown):
+        audit_all(["thm-star-energy", unknown])
+    assert solves == {"spectra": [], "charpolys": []}
+
+
+@pytest.mark.parametrize(
+    "claim_id", [c.id for c in CLAIMS.values() if c.kind != "census-structure"]
+)
+def test_audit_claim_matches_batch(claim_id):
+    batch = audit_all([claim_id])
+    single = [audit_claim(claim_id, **dict(point)) for point in CLAIMS[claim_id].grid]
+    assert single == batch

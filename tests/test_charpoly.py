@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from itertools import accumulate
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from harmspec.charpoly import (
     RatPoly,
     _deflate,
     char_poly,
+    char_polys,
     closed_form_complete,
     closed_form_complete_bipartite,
     closed_form_cycle,
@@ -583,3 +585,58 @@ class TestModularCharPoly:
         monkeypatch.setattr(charpoly, "_hessenberg_char_poly", corrupt)
         with pytest.raises(ArithmeticError, match="lost exactness"):
             graph_char_poly(petersen())
+
+    @pytest.mark.parametrize("lane", [0, -1], ids=["reconstruction-prime", "check-prime"])
+    def test_corrupted_residues_of_a_stacked_matrix_raise(self, monkeypatch, lane):
+        # Petersen and C10 share one kernel call; corrupt a lane of C10, the
+        # second matrix of the call.
+        matrices = [harmonic_matrix(petersen()), harmonic_matrix(cycle(10))]
+        first, second = (len(charpoly._modular_plan(m).moduli) for m in matrices)
+        assert first + second <= charpoly.PRIME_CHUNK
+        target = first if lane == 0 else first + second - 1
+        reduce = charpoly._hessenberg_char_poly
+        calls = []
+
+        def corrupt(h, primes):
+            calls.append(len(primes))
+            out = reduce(h, primes)
+            out[target, 0] = (out[target, 0] + 1) % primes[target]
+            return out
+
+        monkeypatch.setattr(charpoly, "_hessenberg_char_poly", corrupt)
+        with pytest.raises(ArithmeticError, match="lost exactness"):
+            char_polys(matrices)
+        assert calls == [first + second]
+
+
+class TestStackedCharPolys:
+    """char_polys shares kernel calls between the matrices of one order."""
+
+    def test_mixed_orders_match_reference(self):
+        rng = random.Random(41)
+        large = [harmonic_matrix(random_graph(rng, 40, 0.5)) for _ in range(2)]
+        small = [harmonic_matrix(random_graph(rng, 20, 0.15)) for _ in range(3)]
+        matrices = [harmonic_matrix(g) for g in audit_exact_polynomial_graphs()]
+        matrices[3:3] = [large[0], small[0], [], small[1], [[Fraction(-5, 3)]], large[1], small[2]]
+        # The lanes of each random order run across a chunk boundary into
+        # the next matrix, so some kernel call holds residues of two.
+        for group in (large, small):
+            lanes = [len(charpoly._modular_plan(m).moduli) for m in group]
+            assert any(start % charpoly.PRIME_CHUNK for start in accumulate(lanes[:-1]))
+        assert char_polys(matrices) == [faddeev_leverrier_char_poly(m) for m in matrices]
+
+    def test_batch_equals_one_at_a_time(self):
+        matrices = [harmonic_matrix(g) for g in audit_exact_polynomial_graphs()]
+        assert char_polys(matrices) == [char_poly(m) for m in matrices]
+        assert char_polys([]) == []
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_square_anywhere_raises_before_reducing(self, monkeypatch, at):
+        def unreachable(h, primes):
+            raise AssertionError("kernel reached")
+
+        monkeypatch.setattr(charpoly, "_hessenberg_char_poly", unreachable)
+        matrices = [harmonic_matrix(petersen()), harmonic_matrix(cycle(5))]
+        matrices.insert(at, [[1, 2], [3, 4], [5, 6]])
+        with pytest.raises(ValueError, match="square"):
+            char_polys(matrices)

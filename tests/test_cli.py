@@ -328,6 +328,13 @@ class TestAudit:
         assert twice == once
         assert once[1].count("thm-petersen-energy") == 1
 
+    @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt"), ("csv", "csv")])
+    def test_full_audit_golden(self, capsys, fmt, suffix):
+        # Committed from the audit that solved one graph at a time.
+        code, out, err = run(capsys, "audit", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"audit.{suffix}").read_text()
+
     def test_csv(self, capsys, tmp_path):
         baseline = tmp_path / "b.json"
         run(capsys, "audit", "--claim", "thm-cycle-charpoly",
@@ -349,6 +356,20 @@ class TestErrors:
         code, _, err = run(capsys, "gen", "--family", "cycle", "--n", "2")
         assert code == 1
         assert "cycle" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("gen", "--family", "cycle", "--n", "5", "--m", "3"), "cycle: does not take parameter m"),
+            (("gen", "--family", "petersen", "--n", "7"), "petersen: does not take parameter n"),
+            (("energy", "--family", "star", "--n", "5", "--m", "2"), "star: does not take parameter m"),
+            (("charpoly", "--family", "petersen", "--m", "3"), "petersen: does not take parameter m"),
+        ],
+    )
+    def test_unused_family_parameter(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_missing_family(self, capsys):
         code, _, err = run(capsys, "matrix")

@@ -169,6 +169,20 @@ def test_unknown_family():
         generate(FamilySpec("moebius", n=3))
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (FamilySpec("cycle", n=5, m=3), "cycle: does not take parameter m"),
+        (FamilySpec("petersen", n=7), "petersen: does not take parameter n"),
+        (FamilySpec("petersen", m=2), "petersen: does not take parameter m"),
+        (FamilySpec("book", n=2, m=4), "book: does not take parameter m"),
+    ],
+)
+def test_unused_parameter_rejected(spec, message):
+    with pytest.raises(ValueError, match=message):
+        generate(spec)
+
+
 def test_missing_parameter():
     with pytest.raises(ValueError, match="missing required parameter"):
         generate(FamilySpec("path"))
