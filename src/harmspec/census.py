@@ -3,9 +3,11 @@
 published reference energies for cubic graphs of order 10.
 
 Enumeration is a backtracking search over adjacency rows with remaining
-degree pruning, restricted to labelings that introduce unseen vertices in
-increasing order (a sound symmetry reduction); survivors then go through
-full isomorph rejection via canonical forms, computed by
+degree pruning. Each row joins its vertex to only a prefix of every group
+of later vertices whose adjacency so far is equal (twins, which a
+relabeling swaps without changing the partial graph), a sound symmetry
+reduction that keeps at least one labeling of every class. Survivors then
+go through full isomorph rejection via canonical forms, computed by
 individualization-refinement with automorphism pruning. A degree d with
 2d > n - 1 is enumerated through the complements of the labeled
 (n-1-d)-regular graphs.
@@ -87,11 +89,15 @@ def enumerate_regular(n: int, d: int) -> list[Graph]:
 
 
 def _labeled_regular(n: int, d: int):
-    """Yield adjacency bitmask tuples of labeled d-regular graphs whose
-    labelings introduce previously untouched vertices in increasing order.
+    """Yield adjacency bitmask tuples of labeled d-regular graphs, at least
+    one labeling of every isomorphism class.
 
-    Every isomorphism class has at least one such labeling, so following
-    with isomorph rejection yields the full census.
+    Rows are filled in order. Row i joins vertex i to vertices j > i that
+    are not yet full; those with equal adjacency so far (among vertices
+    below i) are twins, and row i takes only a prefix of each twin group.
+    Swapping two twins maps the partial graph onto itself, so any
+    completion of another choice is isomorphic to a completion of the
+    prefix choice. The untouched vertices form one such group.
     """
     adj = [0] * n
     deg = [0] * n
@@ -113,29 +119,38 @@ def _labeled_regular(n: int, d: int):
         if need == 0:
             yield from rec(i + 1)
             return
-        rest = [j for j in range(i + 1, n) if deg[j] < d]
-        if need > len(rest):
-            return
-        touched = [j for j in rest if deg[j] > 0]
-        fresh = [j for j in rest if deg[j] == 0]  # always a suffix i+1..n-1
-        for k in range(min(need, len(fresh)), -1, -1):
-            new_part = fresh[:k]
-            for old_part in combinations(touched, need - k):
-                chosen = list(old_part) + new_part
-                for j in chosen:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                    deg[j] += 1
-                deg[i] += need
-                if feasible(i + 1):
-                    yield from rec(i + 1)
-                deg[i] -= need
-                for j in chosen:
-                    adj[i] &= ~(1 << j)
-                    adj[j] &= ~(1 << i)
-                    deg[j] -= 1
+        twins: dict[int, list[int]] = {}
+        for j in range(i + 1, n):
+            if deg[j] < d:
+                twins.setdefault(adj[j], []).append(j)
+        for chosen in _prefix_choices(list(twins.values()), need):
+            for j in chosen:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+                deg[j] += 1
+            deg[i] += need
+            if feasible(i + 1):
+                yield from rec(i + 1)
+            deg[i] -= need
+            for j in chosen:
+                adj[i] &= ~(1 << j)
+                adj[j] &= ~(1 << i)
+                deg[j] -= 1
 
     yield from rec(0)
+
+
+def _prefix_choices(groups: list[list[int]], need: int):
+    """Yield every list of ``need`` vertices made of a prefix of each group."""
+    if not groups:
+        if need == 0:
+            yield []
+        return
+    first, rest = groups[0], groups[1:]
+    room = sum(len(g) for g in rest)
+    for k in range(min(need, len(first)), max(0, need - room) - 1, -1):
+        for tail in _prefix_choices(rest, need - k):
+            yield first[:k] + tail
 
 
 # ---------------------------------------------------------------------------

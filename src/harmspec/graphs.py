@@ -170,6 +170,10 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+# The graph6 byte of each 6-bit group read least significant bit first.
+_GRAPH6_GROUP = tuple(chr(63 + int(format(v, "06b")[::-1], 2)) for v in range(64))
+
+
 def encode_graph6(g: Graph) -> str:
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 encoding supports at most {GRAPH6_MAX_N} vertices, got {g.n}")
@@ -180,22 +184,14 @@ def encode_graph6(g: Graph) -> str:
         head = chr(126) + "".join(
             chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)
         )
-    value = 0
-    nbits = 0
-    chars = []
-    for j in range(1, n):
-        col = j
-        for i in range(j):
-            value = value << 1 | (g.adj[i] >> col & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(63 + value))
-                value = 0
-                nbits = 0
-    if nbits:
-        value <<= 6 - nbits
-        chars.append(chr(63 + value))
-    return head + "".join(chars)
+    # Bit k of `stream` is bit k of the upper-triangle stream: column j
+    # holds the pairs (i, j), i < j, which are the low j bits of row j.
+    stream = 0
+    shift = 0
+    for j, row in enumerate(g.adj):
+        stream |= (row & ((1 << j) - 1)) << shift
+        shift += j
+    return head + "".join([_GRAPH6_GROUP[stream >> k & 63] for k in range(0, shift, 6)])
 
 
 def decode_graph6(line: str) -> Graph:

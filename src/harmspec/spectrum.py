@@ -7,17 +7,20 @@ sweep annihilates every off-diagonal pair once, in n - 1 rounds of n/2
 disjoint pairs (n rounds for odd n); the rotations of a round are applied
 together as one column update and one row update.
 
-The solver takes a stack of matrices of one order and does each round of
-every matrix in the stack with the same numpy calls. At the orders used
-here the time of a round is the overhead of its ~50 calls, not their
-arithmetic, so a stack of k matrices costs far less than k solves. Each
-matrix keeps its own live pairs, Frobenius threshold and sweep count, and
-leaves the stack once its off-diagonal norm is at or below its threshold;
-its arithmetic, and so every bit of its results, is the same in any stack
-as alone. A single matrix is a stack of one. The order is fixed and there
-is no randomization, so a given matrix always produces bit-identical
-output. Harmonic matrices are built as floats (harmonic_float_matrix),
-and every tolerance is relative to the Frobenius norm.
+The solver takes a stack of matrices of any orders, zero-padded to the
+largest, and does round r of every matrix in the stack with the same
+numpy calls; a matrix of order n takes part only in the rounds of its own
+n-order schedule. At the orders used here the time of a round is the
+overhead of its ~50 calls, not their arithmetic, so a stack of k matrices
+costs far less than k solves. Each matrix keeps its own live pairs, and
+its Frobenius threshold, off-diagonal norm and sweep count come from its
+own n x n block. It leaves the stack once its off-diagonal norm is at or
+below its threshold; its arithmetic, and so every bit of its results, is
+the same in any stack as alone. A single matrix is a stack of one. The
+order is fixed and there is no randomization, so a given matrix always
+produces bit-identical output. Harmonic matrices are built as floats
+(harmonic_float_matrix), and every tolerance is relative to the Frobenius
+norm.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .harmonic import harmonic_float_matrix
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
-# harmonic_energies solves at most this many matrix entries in one stack.
+# harmonic_energies solves at most this many matrix entries in one stack,
+# counting each matrix at the padded size of the largest order in it.
 STACK_ENTRIES = 1 << 15
 
 
@@ -76,19 +80,16 @@ class EnergyReport:
     spectrum: Spectrum
 
 
-def _norms(rows: np.ndarray) -> list[float]:
-    # The Frobenius norm of each flattened matrix, by the same dot product
-    # np.linalg.norm takes, so a matrix gets the same bits in any stack.
-    return [math.sqrt(row.dot(row)) for row in rows]
-
-
-def _off_norms(mats: np.ndarray) -> list[float]:
+def _norm(block: np.ndarray, off: bool = False) -> float:
+    # The Frobenius norm of one n x n block (of its off-diagonal part when
+    # off), by the dot product np.linalg.norm takes on the contiguous
+    # matrix, so a matrix gets the same bits at any padding in any stack.
     # A zeroed diagonal holds the entries of a - diag(a) up to the sign of
     # zero, which squaring drops.
-    k, n, _ = mats.shape
-    off = mats.reshape(k, n * n).copy()
-    off[:, :: n + 1] = 0.0
-    return _norms(off)
+    x = block.flatten()
+    if off:
+        x[:: len(block) + 1] = 0.0
+    return math.sqrt(x.dot(x))
 
 
 @functools.lru_cache(maxsize=None)
@@ -110,30 +111,56 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return tuple(rounds)
 
 
-@functools.lru_cache(maxsize=64)
-def _stacked_rounds(n: int, k: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The rounds of _round_robin(n) for k matrices held as w[row, k, col].
+@functools.lru_cache(maxsize=None)
+def _sweep_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The round number, p and q of every pair of one sweep of
+    _round_robin(n), n >= 2, in round order."""
+    rounds = _round_robin(n)
+    r = np.repeat(np.arange(len(rounds), dtype=np.intp), [len(p) for p, _, _ in rounds])
+    p = np.concatenate([p for p, _, _ in rounds])
+    q = np.concatenate([q for _, q, _ in rounds])
+    for index in (r, p, q):
+        index.flags.writeable = False  # shared by every caller
+    return r, p, q
+
+
+# The sweeps of a stack share one key until a member converges, so a few
+# entries serve a solve; each holds eight indices per pair of the stack.
+@functools.lru_cache(maxsize=8)
+def _stacked_rounds(orders: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The rounds of one sweep for k matrices of the given orders, zero-
+    padded to the largest order N and held as w[row, k, col]: round r pairs
+    round r of _round_robin(n) of every member of order n that has one.
     Per round: the flat indices into w of the entries (p, q), (q, p),
     (p, p) and (q, q) of every pair, the indices of columns p and q in
-    w.reshape(n, k*n) and of rows p and q in w.reshape(n*k, n); first as
+    w.reshape(N, k*N) and of rows p and q in w.reshape(N*k, N); first as
     one 2-D array, for dropping dead pairs in one call, then as its rows."""
-    rounds = []
-    for p, q, _ in _round_robin(n):
-        K = np.repeat(np.arange(k, dtype=np.intp), len(p))
-        P, Q = np.tile(p, k), np.tile(q, k)
-        PK, QK = P * k + K, Q * k + K
-        index = np.stack([PK * n + Q, QK * n + P, PK * n + P, QK * n + Q, K * n + P, K * n + Q, PK, QK])
-        index.flags.writeable = False  # shared by every caller
-        rounds.append((index, *index))
-    return tuple(rounds)
+    k, n = len(orders), max(orders)
+    members: dict[int, list[int]] = {}
+    for i, order in enumerate(orders):
+        members.setdefault(order, []).append(i)
+    parts = []
+    for order, ks in members.items():
+        r, p, q = _sweep_pairs(order)
+        parts.append((np.tile(r, len(ks)), np.tile(p, len(ks)), np.tile(q, len(ks)),
+                      np.repeat(np.array(ks, dtype=np.intp), len(r))))
+    R, P, Q, K = (np.concatenate(column) for column in zip(*parts))
+    by_round = np.argsort(R, kind="stable")
+    R, P, Q, K = R[by_round], P[by_round], Q[by_round], K[by_round]
+    PK, QK = P * k + K, Q * k + K
+    index = np.stack([PK * n + Q, QK * n + P, PK * n + P, QK * n + Q, K * n + P, K * n + Q, PK, QK])
+    index.flags.writeable = False  # shared by every caller
+    cuts = np.flatnonzero(np.diff(R)) + 1
+    return tuple((part, *part) for part in np.split(index, cuts, axis=1))
 
 
-def _sweep(w: np.ndarray) -> None:
-    """One round-robin sweep, in place, over the stack w[row, k, col].
-    Within a round, pairs whose entry is already 0.0 are left out."""
+def _sweep(w: np.ndarray, orders: tuple[int, ...]) -> None:
+    """One round-robin sweep, in place, over the stack w[row, k, col] of
+    matrices of the given orders, zero-padded to the largest. Within a
+    round, pairs whose entry is already 0.0 are left out."""
     n, k, _ = w.shape
     flat, cols, rows = w.reshape(-1), w.reshape(n, k * n), w.reshape(n * k, n)
-    for index, pq, qp, pp, qq, col_p, col_q, row_p, row_q in _stacked_rounds(n, k):
+    for index, pq, qp, pp, qq, col_p, col_q, row_p, row_q in _stacked_rounds(orders):
         apq = flat[pq]
         if not apq.all():
             live = apq != 0.0
@@ -167,38 +194,46 @@ def jacobi_eigenvalues_stack(
     tol: float = DEFAULT_TOL,
     max_sweeps: int = MAX_SWEEPS,
 ) -> list[tuple[np.ndarray, float, int]]:
-    """Round-robin Jacobi on a stack of k symmetric float matrices of one
-    order n. Every matrix gets the rounds, live pairs, threshold and sweep
-    count it gets alone, so its results are bit-identical to a stack of one.
+    """Round-robin Jacobi on a stack of k symmetric float matrices of any
+    orders, zero-padded to the largest. Every matrix gets the rounds, live
+    pairs, threshold and sweep count it gets alone, so its results are
+    bit-identical to a stack of one.
 
     Returns one (eigenvalues sorted non-increasing, final off-diagonal norm,
     sweeps used) triple per matrix. Raises JacobiConvergenceError for the
     first matrix whose off-diagonal norm is still above tol * ||a||_F after
     max_sweeps sweeps.
     """
-    a = np.array(stack, dtype=float)
-    k = len(a)
-    if a.size == 0:
-        return [(np.array([]), 0.0, 0) for _ in range(k)]
-    n = a.shape[1]
-    thresholds = [tol * fro for fro in _norms(a.reshape(k, n * n))]
-    offs = _off_norms(a)
-    sweeps = [0] * k
-    active = [i for i in range(k) if offs[i] > thresholds[i]]
+    mats = [np.asarray(m, dtype=float) for m in stack]
+    for m in mats:
+        if m.size and (m.ndim != 2 or m.shape[0] != m.shape[1]):
+            raise ValueError(f"matrices must be square, got shape {m.shape}")
+    orders = [len(m) for m in mats]
+    a = np.zeros((len(mats), max(orders, default=0), max(orders, default=0)))
+    for block, m in zip(a, mats):
+        block[: len(m), : len(m)] = m
+    thresholds = [tol * _norm(m) for m in mats]
+    offs = [_norm(m, off=True) for m in mats]
+    sweeps = [0] * len(mats)
+    active = [i for i, (off, threshold) in enumerate(zip(offs, thresholds)) if off > threshold]
     done = 0
     while active:
         if done >= max_sweeps:
             raise JacobiConvergenceError(offs[active[0]], done)
-        w = np.ascontiguousarray(a[active].transpose(1, 0, 2))
-        _sweep(w)
-        mats = np.ascontiguousarray(w.transpose(1, 0, 2))
-        a[active] = mats
+        live = tuple(orders[i] for i in active)
+        size = max(live)
+        w = np.ascontiguousarray(a[active, :size, :size].transpose(1, 0, 2))
+        _sweep(w, live)
+        a[active, :size, :size] = w.transpose(1, 0, 2)
         done += 1
-        for i, off in zip(active, _off_norms(mats)):
-            offs[i] = off
+        for i in active:
+            offs[i] = _norm(a[i, : orders[i], : orders[i]], off=True)
             sweeps[i] = done
         active = [i for i in active if offs[i] > thresholds[i]]
-    return [(np.sort(a[i].diagonal())[::-1], offs[i], sweeps[i]) for i in range(k)]
+    return [
+        (np.sort(block.diagonal()[:n])[::-1], off, count)
+        for block, n, off, count in zip(a, orders, offs, sweeps)
+    ]
 
 
 def jacobi_eigenvalues(
@@ -231,24 +266,25 @@ def eigenvalues_symmetric(
 
 
 def harmonic_energies(graphs: Sequence[Graph], tol: float = DEFAULT_TOL) -> list[EnergyReport]:
-    """Harmonic energy of every graph, in input order. The graphs of each
-    order, taken in order of first appearance, are solved as stacks of at
-    most STACK_ENTRIES matrix entries."""
+    """Harmonic energy of every graph, in input order. The graphs, sorted
+    by order, are cut into stacks of at most STACK_ENTRIES padded matrix
+    entries (one graph at least), each solved in one call."""
     _check_tol(tol)
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    reports: dict[int, EnergyReport] = {}
-    for n, members in by_order.items():
-        size = max(1, STACK_ENTRIES // (n * n or 1))
-        for start in range(0, len(members), size):
-            chunk = members[start : start + size]
-            stack = [harmonic_float_matrix(graphs[i]) for i in chunk]
-            for i, (eig, off, sweeps) in zip(chunk, jacobi_eigenvalues_stack(stack, tol)):
-                spec = Spectrum(tuple(float(x) for x in eig), off, sweeps)
-                he = float(sum(abs(x) for x in spec.eigenvalues))
-                reports[i] = EnergyReport(he, encode_graph6(graphs[i]), spec)
-    return [reports[i] for i in range(len(graphs))]
+    by_order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
+    reports: list[EnergyReport | None] = [None] * len(graphs)
+    start = 0
+    while start < len(by_order):
+        stop = start + 1
+        while stop < len(by_order) and (stop + 1 - start) * graphs[by_order[stop]].n ** 2 <= STACK_ENTRIES:
+            stop += 1
+        chunk = by_order[start:stop]
+        stack = [harmonic_float_matrix(graphs[i]) for i in chunk]
+        for i, (eig, off, sweeps) in zip(chunk, jacobi_eigenvalues_stack(stack, tol)):
+            spec = Spectrum(tuple(float(x) for x in eig), off, sweeps)
+            he = float(sum(abs(x) for x in spec.eigenvalues))
+            reports[i] = EnergyReport(he, encode_graph6(graphs[i]), spec)
+        start = stop
+    return reports
 
 
 def harmonic_energy(g: Graph, tol: float = DEFAULT_TOL) -> EnergyReport:

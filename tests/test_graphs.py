@@ -16,7 +16,7 @@ from harmspec.graphs import (
 )
 from harmspec.families import complete, complete_bipartite, friendship, path
 
-from conftest import graph_strategy, random_graph
+from conftest import bitwise_encode_graph6, graph_strategy, random_graph, to_networkx
 
 
 class TestBuildGraph:
@@ -180,3 +180,13 @@ class TestGraph6:
         h.add_edges_from(g.edges())
         expected = nx.to_graph6_bytes(h, header=False).decode().strip()
         assert encode_graph6(g) == expected
+
+    def test_matches_bitwise_encoder_and_networkx_up_to_70(self):
+        # n >= 63 takes the 4-byte size header.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(70)
+        for n in range(71):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                g = random_graph(rng, n, p)
+                expected = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
+                assert encode_graph6(g) == bitwise_encode_graph6(g) == expected

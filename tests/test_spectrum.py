@@ -224,8 +224,10 @@ def _assert_stack_matches_reference(stack, **kwargs):
     assert len(got) == len(stack)
     for a, (eig, off, sweeps) in zip(stack, got):
         want = round_robin_jacobi_eigenvalues(a, **kwargs)
+        # Bytes, so that the sign of a zero counts too.
         assert eig.tobytes() == want[0].tobytes()
-        assert (off, sweeps) == want[1:]
+        assert np.float64(off).tobytes() == np.float64(want[1]).tobytes()
+        assert sweeps == want[2]
     return got
 
 
@@ -298,13 +300,62 @@ class TestStackedJacobi:
         assert err.value.residual == 2.0 * want.value.residual
         assert jacobi_eigenvalues_stack([one_round], max_sweeps=1)[0][2] == 1
 
+    @staticmethod
+    def _mixed_order_stack():
+        # A seeded graph of every order from 0 to 40, then the special
+        # members of test_mixed_members, each at an order of its own, and a
+        # graph with an isolated vertex pair; shuffled, so orders come in
+        # no particular sequence.
+        rng = random.Random(41)
+        stack = [harmonic_float_matrix(random_graph(rng, n, rng.choice((0.15, 0.5, 0.9)))) for n in range(41)]
+        stack += [
+            np.zeros((7, 7)),
+            np.diag(np.arange(1.0, 12.0)),
+            _equal_diagonal(6),
+            _overflow_guard(9),
+            harmonic_float_matrix(disjoint_union([random_graph(rng, 13, 0.6), build_graph(2, [])])),
+        ]
+        rng.shuffle(stack)
+        return stack
+
+    def test_mixed_orders(self):
+        stack = self._mixed_order_stack()
+        before = [a.copy() for a in stack]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            _assert_stack_matches_reference(stack)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(stack, before))
+
+    def test_mixed_orders_tolerance_and_max_sweeps(self):
+        stack = self._mixed_order_stack()
+        _assert_stack_matches_reference(stack, tol=1e-6, max_sweeps=7)
+
+    def test_mixed_orders_convergence_error(self):
+        # The first member still above its threshold after one sweep names
+        # the residual, whatever the orders around it.
+        stack = self._mixed_order_stack()
+        stuck = []
+        for a in stack:
+            try:
+                round_robin_jacobi_eigenvalues(a, max_sweeps=1)
+            except JacobiConvergenceError as exc:
+                stuck.append(exc)
+        assert stuck
+        with pytest.raises(JacobiConvergenceError) as err:
+            jacobi_eigenvalues_stack(stack, max_sweeps=1)
+        assert (err.value.residual, err.value.sweeps) == (stuck[0].residual, 1)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            jacobi_eigenvalues_stack([np.eye(3), np.zeros((2, 3))])
+
     def test_chunks_in_input_order(self, monkeypatch):
-        # 21 graphs of order 40 span the 20-matrix chunk at that order;
-        # graphs of order 5 sit between them and are solved after them.
+        # Sorted by order, 7 graphs of order 5 and then 21 of order 40 fill
+        # stacks of at most STACK_ENTRIES padded entries: 20 matrices once
+        # order 40 is in, then the 8 left. Reports come back in input order.
         calls = []
 
         def spy(stack, *args, **kwargs):
-            calls.append(np.shape(stack))
+            calls.append([len(a) for a in stack])
             return jacobi_eigenvalues_stack(stack, *args, **kwargs)
 
         monkeypatch.setattr(spectrum_mod, "jacobi_eigenvalues_stack", spy)
@@ -312,7 +363,7 @@ class TestStackedJacobi:
         graphs = [random_graph(rng, 5 if k % 4 == 1 else 40, 0.3) for k in range(28)]
         reports = harmonic_energies(graphs)
         chunk = spectrum_mod.STACK_ENTRIES // (40 * 40)
-        assert calls == [(chunk, 40, 40), (21 - chunk, 40, 40), (7, 5, 5)]
+        assert calls == [[5] * 7 + [40] * (chunk - 7), [40] * (28 - chunk)]
         for g, report in zip(graphs, reports):
             eig, off, sweeps = round_robin_jacobi_eigenvalues(harmonic_float_matrix(g))
             assert report.graph6 == encode_graph6(g)
