@@ -3,22 +3,27 @@ polynomials of rational symmetric matrices, and the closed-form harmonic
 characteristic polynomials of the named graph families.
 
 The characteristic polynomial is computed exactly by a multimodular
-algorithm on the denominator-cleared integer matrix A = s*M, s the lcm of
-M's entry denominators; its coefficients are rescaled at the end. Each
-coefficient of det(xI - A) is a signed sum of principal minors, so by
-Hadamard's inequality its absolute value is at most prod_i (1 + ||a_i||)
-over the rows a_i of A. Modulo each of as many primes below 2^31 as it
-takes for their product to exceed twice that bound, A is reduced to upper
-Hessenberg form by a similarity transform, and the row recurrence of the
-Hessenberg form gives its characteristic polynomial. The kernel does this
-in numpy int64 for a stack of (matrix, prime) lanes at once, each lane on
-its own, so the lanes of several matrices of one order share a kernel
-call. The Chinese remainder theorem recovers each matrix's coefficients
-in the symmetric range. One further prime per matrix, left out of the
-reconstruction, must agree with the result, or ArithmeticError is raised.
-See Cohen, "A Course in Computational Algebraic Number Theory", 2.2.4,
-and Dumas, Pernet and Wan, "Efficient computation of the characteristic
-polynomial", ISSAC 2005.
+algorithm. Each row i of M is cleared by its own denominators: with s_i the
+lcm of row i's, t one common factor and u_i = lcm(s_i, t)/t, the diagonal
+scaling S = t*U makes S*M an integer matrix, and the integer polynomial
+P(y) = det(yU - S*M) = det(U) * det(yI - t*M) gives det(xI - M) at y = t*x.
+P is linear in each row, so its coefficient of y^k sums products of k of
+the u_i and a principal minor of S*M on the other rows; by Hadamard's
+inequality no coefficient exceeds prod_i (u_i + ||row i of S*M||) in
+absolute value. t is gcd(s_i) or lcm(s_i), whichever makes the bound
+smaller; lcm(s_i) is the single global scale, so no matrix needs a larger
+bound than under it. Modulo each of as many primes below 2^31, none
+dividing a denominator, as it takes for their product to exceed twice the
+bound, t*M is reduced to upper Hessenberg form by a similarity transform,
+and the row recurrence of the Hessenberg form gives its characteristic
+polynomial, which det(U) turns into P. The kernel does this in numpy int64
+for a stack of (matrix, prime) lanes at once, each lane on its own, so the
+lanes of several matrices of one order share a kernel call. The Chinese
+remainder theorem recovers each matrix's P in the symmetric range. One
+further prime per matrix, left out of the reconstruction, must agree with
+the result, or ArithmeticError is raised. See Cohen, "A Course in
+Computational Algebraic Number Theory", 2.2.4, and Dumas, Pernet and Wan,
+"Efficient computation of the characteristic polynomial", ISSAC 2005.
 
 Rational roots are numeric eigenvalues rounded to nearby fractions and kept
 only when exact synthetic division confirms them.
@@ -26,10 +31,11 @@ only when exact synthetic division confirms them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -222,22 +228,22 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _primes(k: int) -> list[int]:
-    """The k largest primes below 2^31, descending; generated on first use
-    and cached."""
-    m = _PRIMES[-1] - 2 if _PRIMES else _PRIME_TOP
-    while len(_PRIMES) < k:
-        if _is_prime(m):
+def _prime_stream() -> Iterator[int]:
+    """The primes below 2^31, descending; each generated once and cached."""
+    for k in itertools.count():
+        if k == len(_PRIMES):
+            m = _PRIMES[-1] - 2 if _PRIMES else _PRIME_TOP
+            while not _is_prime(m):
+                m -= 2
             _PRIMES.append(m)
-        m -= 2
-    return _PRIMES[:k]
+        yield _PRIMES[k]
 
 
 def char_polys(matrices: Iterable[Sequence[Sequence[Rat]]]) -> list[RatPoly]:
     """Monic characteristic polynomials det(xI - M) of square rational
     matrices, computed exactly, in input order.
 
-    Every matrix keeps its own scale, coefficient bound, primes and check
+    Every matrix keeps its own scaling, coefficient bound, primes and check
     prime. The (matrix, prime) lanes of all matrices of one order are
     reduced PRIME_CHUNK at a time, so one kernel call may span several
     matrices; a chunk's residues are built only when it runs. Raises
@@ -254,7 +260,8 @@ def char_polys(matrices: Iterable[Sequence[Sequence[Rat]]]) -> list[RatPoly]:
             h = np.empty((len(chunk), n, n), dtype=np.int64)
             for lane, (i, q) in enumerate(chunk):
                 plan = plans[i]
-                h[lane] = np.array([v % q for v in plan.values], dtype=np.int64)[plan.index]
+                f = pow(plan.lcm // plan.scale, -1, q)
+                h[lane] = np.array([v % q * f % q for v in plan.values], dtype=np.int64)[plan.index]
             out = _hessenberg_char_poly(h, [q for _, q in chunk]).tolist()
             for (i, _), row in zip(chunk, out):
                 residues[i].append(row)
@@ -268,15 +275,21 @@ def char_poly(matrix: Sequence[Sequence[Rat]]) -> RatPoly:
 
 
 class _Plan(NamedTuple):
-    """A square rational matrix M ready for the modular kernel: A = scale*M
-    as the (n, n) index into A's distinct entry values, and the primes
-    whose product exceeds twice the Hadamard bound prod(1 + ||a_i||) on
-    every coefficient of det(xI - A), followed by one more prime that
-    checks the reconstruction."""
+    """A square rational matrix M ready for the modular kernel, under the
+    row scaling S = t*U of the module docstring: t as ``scale`` and det(U);
+    the lcm s of all of M's denominators and s*M as the (n, n) index into
+    its distinct integer entries, so that the kernel reduces t*M as t/s
+    times them; the bound prod(u_i + ||row i of S*M||) on every
+    coefficient of P(y) = det(yU - S*M); and the primes, none dividing a
+    denominator, whose product exceeds twice the bound, followed by one
+    more prime that checks the reconstruction."""
 
     scale: int
+    det_u: int
+    lcm: int
     values: list[int]
     index: np.ndarray
+    bound: int
     moduli: list[int]
 
 
@@ -285,44 +298,61 @@ def _modular_plan(matrix: Sequence[Sequence[Rat]]) -> _Plan:
     for row in matrix:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    scale = math.lcm(*(x.denominator for row in matrix for x in row))
+    lcms = [math.lcm(*(x.denominator for x in row)) for row in matrix]
+    top = math.lcm(*lcms)
     values: dict[int, int] = {}
-    rows = []
-    bound = 1
+    rows, sqnorms = [], []
     for row in matrix:
-        ints = [x.numerator * (scale // x.denominator) for x in row]
-        bound *= math.isqrt(sum(v * v for v in ints)) + 2
+        ints = [x.numerator * (top // x.denominator) for x in row]
+        sqnorms.append(sum(v * v for v in ints))
         rows.append([values.setdefault(v, len(values)) for v in ints])
     index = np.array(rows, dtype=np.intp).reshape(n, n)
 
-    primes, modulus = [], 1
-    while modulus <= 2 * bound:
-        primes = _primes(len(primes) + 1)
-        modulus *= primes[-1]
-    return _Plan(scale, list(values), index, _primes(len(primes) + 1))
+    # Row i of S*M is the integer vector lcm(s_i, t)/top times row i of
+    # top*M; isqrt(x) + 1 exceeds sqrt(x).
+    def hadamard(t: int) -> int:
+        out = 1
+        for s, sq in zip(lcms, sqnorms):
+            m = math.lcm(s, t)
+            out *= m // t + math.isqrt(m * m * sq // (top * top)) + 1
+        return out
+
+    # gcd(top, *lcms) is gcd(*lcms) for n > 0, and 1 rather than 0 for n = 0.
+    bound, scale = min((hadamard(t), t) for t in (top, math.gcd(top, *lcms)))
+    det_u = math.prod(math.lcm(s, scale) // scale for s in lcms)
+
+    moduli, modulus = [], 1
+    for q in _prime_stream():
+        if top % q:
+            moduli.append(q)
+            if modulus > 2 * bound:
+                break
+            modulus *= q
+    return _Plan(scale, det_u, top, list(values), index, bound, moduli)
 
 
 def _reconstruct(plan: _Plan, residues: list[list[int]]) -> RatPoly:
-    """det(xI - M) from the residues of the coefficients of det(xI - A),
+    """det(xI - M) from the residues of the coefficients of det(yI - t*M),
     one row per modulus of the plan."""
     n = len(plan.index)
     *primes, check = plan.moduli
     modulus = math.prod(primes)
 
-    # Chinese remainders into (-modulus/2, modulus/2], which holds every
-    # coefficient because modulus is more than twice their bound.
+    # Chinese remainders, times det(U), into (-modulus/2, modulus/2], which
+    # holds every coefficient of P because modulus is more than twice their
+    # bound.
     weights = [modulus // q * pow(modulus // q, -1, q) for q in primes]
     cs = []
     for r in zip(*residues):
-        c = sum(map(operator.mul, r, weights)) % modulus
+        c = sum(map(operator.mul, r, weights)) * plan.det_u % modulus
         if 2 * c > modulus:
             c -= modulus
-        if c % check != r[-1]:
+        if c % check != r[-1] * plan.det_u % check:
             raise ArithmeticError("modular characteristic polynomial lost exactness")
         cs.append(c)
 
-    # det(xI - M) = scale**-n * det(scale*x*I - A); rescale coefficients.
-    return RatPoly([Fraction(cs[i], plan.scale ** (n - i)) for i in range(n + 1)])
+    # det(xI - M) = P(t*x) / (det(U) * t^n); rescale coefficients.
+    return RatPoly([Fraction(cs[i], plan.det_u * plan.scale ** (n - i)) for i in range(n + 1)])
 
 
 def _hessenberg_char_poly(h: np.ndarray, primes: list[int]) -> np.ndarray:
@@ -574,42 +604,57 @@ def _split_rational_roots(
     p: RatPoly, approx: Iterable[float]
 ) -> tuple[list[tuple[Fraction, int]], RatPoly]:
     """``rational_roots(p, approx)`` and the cofactor of p that remains
-    after dividing them out. Each division by a candidate both confirms it
-    and, when it is a root, yields the quotient that is kept."""
+    after dividing them out. p is cleared of denominators once; each
+    division of the integer form by a candidate both confirms it and, when
+    it is a root, yields the quotient that is kept."""
     roots = []
+    ints, scale = _cleared(p)
     for cand in {Fraction(e).limit_denominator(ROOT_DENOMINATOR_MAX) for e in approx}:
         mult = 0
-        while p.degree >= 1:
+        while len(ints) > 1:
             try:
-                p = _deflate(p, cand)
+                ints = _deflate_ints(ints, cand)
             except ArithmeticError:
                 break
             mult += 1
         if mult:
             roots.append((cand, mult))
-    return sorted(roots, reverse=True), p
+            scale = Fraction(scale, cand.denominator ** mult)
+    return sorted(roots, reverse=True), RatPoly(
+        [Fraction(c * scale.denominator, scale.numerator) for c in ints])
+
+
+def _cleared(p: RatPoly) -> tuple[list[int], int]:
+    """Integer coefficients A, ascending, and the scale s with p = A / s."""
+    scale = math.lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (scale // c.denominator) for c in p.coeffs], scale
+
+
+def _deflate_ints(ints: list[int], root: Fraction) -> list[int]:
+    """Exact division of the integer polynomial A by (b x - a), for root =
+    a/b in lowest terms; A(root) must be 0. By Gauss's lemma the quotient
+    has integer coefficients when the division is exact, so each step
+    divides by b in integers and stops at the first remainder."""
+    a, b = root.numerator, root.denominator
+    out = []
+    acc = rem = 0
+    for c in reversed(ints[1:]):
+        acc, rem = divmod(c + a * acc, b)
+        if rem:
+            break
+        out.append(acc)
+    if rem or ints[0] + a * acc:
+        raise ArithmeticError(f"deflation by {root} left a remainder: lost exactness")
+    return out[::-1]
 
 
 def _deflate(p: RatPoly, root: Fraction) -> RatPoly:
     """Exact division of p by (x - root); p(root) must be 0.
 
     With p = A / s for an integer polynomial A and root = a/b in lowest
-    terms, the quotient is B * b / s, where B = A / (b x - a). By Gauss's
-    lemma B has integer coefficients when the division is exact, so each
-    step divides by b in integers; every step's remainder is checked once,
-    at the end."""
-    a, b = root.numerator, root.denominator
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (scale // c.denominator) for c in p.coeffs]
-    out = []
-    acc = rem = 0
-    for c in reversed(ints[1:]):
-        acc, r = divmod(c + a * acc, b)
-        rem |= r
-        out.append(acc)
-    if rem or ints[0] + a * acc:
-        raise ArithmeticError(f"deflation by {root} left a remainder: lost exactness")
-    return RatPoly([Fraction(c * b, scale) for c in reversed(out)])
+    terms, the quotient is B * b / s, where B = A / (b x - a)."""
+    ints, scale = _cleared(p)
+    return RatPoly([Fraction(c * root.denominator, scale) for c in _deflate_ints(ints, root)])
 
 
 def poly_text(p: RatPoly) -> str:

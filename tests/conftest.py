@@ -268,6 +268,30 @@ def faddeev_leverrier_char_poly(matrix):
     return RatPoly([Fraction(cs[i], scale ** (n - i)) for i in range(n + 1)])
 
 
+@functools.cache
+def _prime_below(m: int) -> int:
+    import sympy
+
+    return sympy.prevprime(m)
+
+
+def global_scale_modulus_count(matrix) -> int:
+    """Moduli, check prime included, of the single-scale modular plan: the
+    integer matrix A = s*M, s the lcm of all of M's entry denominators, the
+    Hadamard bound prod(isqrt(||a_i||^2) + 2) over A's rows a_i, and the
+    primes downward from 2^31 until their product exceeds twice the bound,
+    plus one more."""
+    entries = [[Fraction(x) for x in row] for row in matrix]
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    bound = math.prod(math.isqrt(sum(int(x * scale) ** 2 for x in row)) + 2 for row in entries)
+    count, modulus, q = 1, 1, 2**31
+    while modulus <= 2 * bound:
+        q = _prime_below(q)
+        modulus *= q
+        count += 1
+    return count
+
+
 def cyclic_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100):
     """Reference eigensolver: cyclic Jacobi with one rotation per (p, q) in
     row-major order, each copying and rewriting two full rows and columns.

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from itertools import accumulate
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,7 @@ from conftest import (
     divisor_rational_roots,
     exact_det,
     faddeev_leverrier_char_poly,
+    global_scale_modulus_count,
     graph_strategy,
     random_graph,
 )
@@ -608,6 +610,27 @@ class TestModularCharPoly:
             char_polys(matrices)
         assert calls == [first + second]
 
+    @pytest.mark.parametrize("lane", [0, -1], ids=["reconstruction-prime", "check-prime"])
+    def test_corrupted_residues_of_a_row_scaled_plan_raise(self, monkeypatch, lane):
+        # A non-regular graph whose rows have different denominators, so
+        # its plan scales by t = gcd(s_i) rather than lcm(s_i), with det U
+        # > 1; it too needs fewer primes than one chunk holds.
+        m = harmonic_matrix(random_graph(random.Random(1), 20, 0.15))
+        plan = charpoly._modular_plan(m)
+        row_lcms = [math.lcm(*(x.denominator for x in row)) for row in m]
+        assert plan.scale == math.gcd(*row_lcms) < math.lcm(*row_lcms)
+        assert plan.det_u > 1 and len(plan.moduli) <= charpoly.PRIME_CHUNK
+        reduce = charpoly._hessenberg_char_poly
+
+        def corrupt(h, primes):
+            out = reduce(h, primes)
+            out[lane, 0] = (out[lane, 0] + 1) % primes[lane]
+            return out
+
+        monkeypatch.setattr(charpoly, "_hessenberg_char_poly", corrupt)
+        with pytest.raises(ArithmeticError, match="lost exactness"):
+            char_poly(m)
+
 
 class TestStackedCharPolys:
     """char_polys shares kernel calls between the matrices of one order."""
@@ -640,3 +663,130 @@ class TestStackedCharPolys:
         matrices.insert(at, [[1, 2], [3, 4], [5, 6]])
         with pytest.raises(ValueError, match="square"):
             char_polys(matrices)
+
+
+def _row_scaled_matrix(rng: random.Random, exponents, factors) -> list[list[Fraction]]:
+    """A random rational matrix whose row i has numerators up to 10^6 and
+    denominators factors[i] times a number up to 10^exponents[i]."""
+    n = len(exponents)
+    return [[Fraction(rng.randint(-10**6, 10**6), f * rng.randint(1, 10**e)) for _ in range(n)]
+            for e, f in zip(exponents, factors)]
+
+
+@st.composite
+def row_scaled_matrix(draw):
+    """A square rational matrix of order at most 6 whose rows draw their
+    denominators from ranges up to 10^0 .. 10^15, some of them multiples of
+    the first two kernel primes."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    exponents = draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+    factors = draw(st.lists(st.sampled_from((1, 1, _P1, _P2, _P1 * _P2)), min_size=n, max_size=n))
+    return _row_scaled_matrix(rng, exponents, factors)
+
+
+# Rows whose denominators differ by orders of magnitude; the later cases
+# put multiples of the first two kernel primes into some rows' denominators.
+_HOSTILE = {
+    "magnitudes": ((0, 3, 6, 9, 12, 15), (1,) * 6),
+    "one-wide-row": ((0, 0, 0, 0, 15), (1,) * 5),
+    "first-prime": ((0, 2, 4, 6), (_P1, 1, 1, 1)),
+    "both-primes": ((1, 9, 0, 5, 3), (_P1, _P2, 1, _P1 * _P2, 1)),
+    "every-row-prime": ((0, 0, 0), (_P1, _P2, _P1)),
+}
+
+
+def _hostile(name: str) -> list[list[Fraction]]:
+    return _row_scaled_matrix(random.Random(name), *_HOSTILE[name])
+
+
+def _integer_coefficients(m, plan) -> list[Fraction]:
+    """Coefficients of P(y) = det(yU - S*M) = det(U) * t^n * det(y/t I - M),
+    the integer polynomial the plan reconstructs, read off char_poly(M)."""
+    n = len(m)
+    p = char_poly(m)
+    return [p.coefficient(k) * plan.det_u * plan.scale ** (n - k) for k in range(n + 1)]
+
+
+class TestRowScaledPlan:
+    """The plan scales each row by its own denominators: its bound holds on
+    the integer polynomial it reconstructs, it never needs more moduli than
+    the single global scale, and it skips kernel primes that divide a
+    denominator."""
+
+    @staticmethod
+    def _assert_plans(matrices):
+        for m in matrices:
+            plan = charpoly._modular_plan(m)
+            assert len(plan.moduli) <= global_scale_modulus_count(m)
+            coeffs = _integer_coefficients(m, plan)
+            assert all(c.denominator == 1 for c in coeffs)
+            assert max(abs(c) for c in coeffs) <= plan.bound
+            assert 2 * plan.bound < math.prod(plan.moduli[:-1])
+
+    def test_audit_graphs(self):
+        self._assert_plans(harmonic_matrix(g) for g in audit_exact_polynomial_graphs())
+
+    def test_cubic_census_graphs(self, cubic10):
+        self._assert_plans(harmonic_matrix(decode_graph6(r.graph6)) for r in cubic10[0])
+
+    def test_cubic12_census_graphs(self):
+        path = Path(__file__).parent / "data" / "census_12_3.g6"
+        lines = path.read_text().split()
+        assert len(lines) == 94
+        self._assert_plans(harmonic_matrix(decode_graph6(line)) for line in lines)
+
+    def test_random_graphs(self):
+        rng = random.Random(13)
+        self._assert_plans(harmonic_matrix(random_graph(rng, n, p))
+                           for n in (1, 2, 3, 5, 8, 10, 15, 20, 30, 40)
+                           for p in (0.15, 0.5, 0.85))
+
+    @pytest.mark.parametrize("p, pinned", [(0.15, 17), (0.5, 49)])
+    def test_fewer_moduli_at_order_40(self, p, pinned):
+        # Seed-1 G(40, p) needs 34 and 85 moduli under one global scale;
+        # the pinned counts may fall but not rise.
+        m = harmonic_matrix(random_graph(random.Random(1), 40, p))
+        assert len(charpoly._modular_plan(m).moduli) <= pinned < global_scale_modulus_count(m)
+
+    @pytest.mark.parametrize("name", list(_HOSTILE))
+    def test_hostile_denominators(self, name):
+        m = _hostile(name)
+        plan = charpoly._modular_plan(m)
+        dens = {x.denominator for row in m for x in row}
+        assert all(d % q for q in plan.moduli for d in dens)
+        for q in (_P1, _P2):
+            assert (q in plan.moduli) == all(f % q for f in _HOSTILE[name][1])
+        coeffs = _integer_coefficients(m, plan)
+        assert all(c.denominator == 1 for c in coeffs)
+        assert max(abs(c) for c in coeffs) <= plan.bound
+        assert char_poly(m) == faddeev_leverrier_char_poly(m) == _sympy_char_poly(m)
+
+    def test_row_scale_chosen_for_wide_rows(self):
+        # One row with denominators near 10^15 makes every other row pay
+        # for them under one global scale; scaling by the gcd of the row
+        # denominators does not.
+        m = _hostile("one-wide-row")
+        plan = charpoly._modular_plan(m)
+        assert plan.scale == 1 and plan.det_u > 1
+        assert len(plan.moduli) < global_scale_modulus_count(m)
+
+    @given(row_scaled_matrix())
+    @settings(max_examples=60, deadline=None)
+    def test_row_scaled_matrices(self, m):
+        plan = charpoly._modular_plan(m)
+        assert max(abs(c) for c in _integer_coefficients(m, plan)) <= plan.bound
+        assert char_poly(m) == faddeev_leverrier_char_poly(m)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [0.15, 0.5])
+def test_order100_against_determinant(p):
+    g = random_graph(random.Random(1), 100, p)
+    m = harmonic_matrix(g)
+    cp = graph_char_poly(g)
+    assert cp.degree == 100 and cp.leading == 1
+    assert cp.coefficient(99) == -sum(m[i][i] for i in range(100)) == 0
+    for t in (Fraction(2), Fraction(-1, 3)):
+        shifted = [[(t if i == j else 0) - m[i][j] for j in range(100)] for i in range(100)]
+        assert cp.evaluate(t) == exact_det(shifted)
