@@ -21,7 +21,7 @@ harmonic energy and exact characteristic polynomial it needs, and how its
 verdict follows from them. An audit solves each distinct labeled graph
 of all its grid points once, the spectra as one stacked Jacobi batch and
 the polynomials as one multimodular batch, whose kernel calls share the
-lanes of several matrices of one order, and then builds the verdicts.
+lanes of matrices of several orders, and then builds the verdicts.
 
 Verdicts are frozen into a baseline file committed with the package; a
 verdict changing between runs is reported as drift.

@@ -17,9 +17,17 @@ dividing a denominator, as it takes for their product to exceed twice the
 bound, t*M is reduced to upper Hessenberg form by a similarity transform,
 and the row recurrence of the Hessenberg form gives its characteristic
 polynomial, which det(U) turns into P. The kernel does this in numpy int64
-for a stack of (matrix, prime) lanes at once, each lane on its own, so the
-lanes of several matrices of one order share a kernel call. The Chinese
-remainder theorem recovers each matrix's P in the symmetric range. One
+for a stack of (matrix, prime) lanes at once, each lane on its own. The
+lanes of all matrices, sorted by order, fill the kernel calls in turn, so
+one call may hold lanes of several orders. A lane of order n is
+zero-padded to the call's largest order N; since det(xI - diag(M, 0)) =
+x^(N-n) * det(xI - M), exactly modulo every prime, its residues are the
+last n + 1 coefficients of the call's result. The padding stays zero: in
+each column of M the pad rows are zero, so the pivot search swaps only
+rows of M and gives every pad row a zero multiplier, and the pad columns
+are zero throughout. The Chinese remainder theorem recovers each matrix's
+P in the symmetric range; P's coefficient of y^i times t^i is the integer
+numerator of det(xI - M)'s coefficient of x^i over det(U) * t^n. One
 further prime per matrix, left out of the reconstruction, must agree with
 the result, or ArithmeticError is raised. See Cohen, "A Course in
 Computational Algebraic Number Theory", 2.2.4, and Dumas, Pernet and Wan,
@@ -46,108 +54,113 @@ Rat = int | Fraction
 
 
 class RatPoly:
-    """Dense univariate polynomial over Fraction, ascending coefficients.
+    """Dense univariate polynomial over the rationals: integer numerators of
+    the coefficients, ascending, over one common denominator.
 
-    Canonical form: no trailing zero coefficients; the zero polynomial has
-    an empty coefficient tuple and degree -1.
+    Canonical form: ``numerators`` has no trailing zero and ``denominator``
+    is positive and shares no factor with all of the numerators, so equal
+    polynomials have equal fields; the zero polynomial has no numerators,
+    denominator 1 and degree -1. A product is an integer convolution over
+    the product of the denominators, and a sum scales both numerator lists
+    to the lcm of the two denominators; either is brought to canonical form
+    by one gcd. ``coeffs`` is the tuple of Fraction coefficients, built on
+    demand for display and JSON.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*(c.denominator for c in cs))
+        _assign(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
 
     @staticmethod
     def zero() -> "RatPoly":
-        return RatPoly(())
+        return _polynomial([], 1)
 
     @staticmethod
     def one() -> "RatPoly":
-        return RatPoly((1,))
+        return _polynomial([1], 1)
 
     @staticmethod
     def x() -> "RatPoly":
-        return RatPoly((0, 1))
+        return _polynomial([0, 1], 1)
 
     @staticmethod
     def monomial(k: int, c: Rat = 1) -> "RatPoly":
         return RatPoly((0,) * k + (c,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.numerators)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.numerators
 
     @property
     def leading(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.numerators):
+            return Fraction(self.numerators[k], self.denominator)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RatPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == RatPoly((other,))
-        return NotImplemented
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.numerators == other.numerators and self.denominator == other.denominator
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __add__(self, other) -> "RatPoly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RatPoly(out)
+        return _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly(tuple(-c for c in self.coeffs))
+        return _polynomial([-c for c in self.numerators], self.denominator)
 
     def __sub__(self, other) -> "RatPoly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def __rsub__(self, other) -> "RatPoly":
-        return _coerce(other) + (-self)
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return _combine(other, self, -1)
 
     def __mul__(self, other) -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            return RatPoly(tuple(c * other for c in self.coeffs))
+            return _polynomial([c * other.numerator for c in self.numerators],
+                               self.denominator * other.denominator)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self.numerators, other.numerators
+        if not a or not b:
             return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return _polynomial(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -159,17 +172,24 @@ class RatPoly:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def evaluate(self, x: Rat) -> Fraction:
-        """Exact evaluation by Horner's rule."""
+        """Exact evaluation by Horner's rule in integers: with x = a/b and
+        degree d, sum_i n_i a^i b^(d-i) over denominator * b^d."""
+        if self.is_zero:
+            return Fraction(0)
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        a, b = x.numerator, x.denominator
+        *rest, acc = self.numerators
+        power = 1
+        for c in reversed(rest):
+            power *= b
+            acc = acc * a + c * power
+        return Fraction(acc, self.denominator * power)
 
     def __call__(self, x: Rat) -> Fraction:
         return self.evaluate(x)
@@ -178,11 +198,43 @@ class RatPoly:
         return f"RatPoly({poly_text(self)})"
 
 
+def _assign(p: RatPoly, nums: list[int], den: int) -> None:
+    """Set p to sum nums[i] x^i / den, for den > 0, in canonical form."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(den, *nums) if nums else den
+    if g > 1:
+        nums = [c // g for c in nums]
+        den //= g
+    object.__setattr__(p, "numerators", tuple(nums))
+    object.__setattr__(p, "denominator", den)
+
+
+def _polynomial(nums: list[int], den: int) -> RatPoly:
+    """sum nums[i] x^i / den, for den > 0, in canonical form."""
+    p = object.__new__(RatPoly)
+    _assign(p, nums, den)
+    return p
+
+
+def _combine(p: RatPoly, q: RatPoly, sign: int) -> RatPoly:
+    """p + sign * q over the lcm of the two denominators."""
+    a, b = p.numerators, q.numerators
+    g = math.gcd(p.denominator, q.denominator)
+    fa, fb = q.denominator // g, sign * (p.denominator // g)
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] = c * fa
+    for i, c in enumerate(b):
+        out[i] += c * fb
+    return _polynomial(out, p.denominator * fa)
+
+
 def _coerce(value) -> "RatPoly":
     if isinstance(value, RatPoly):
         return value
     if isinstance(value, (int, Fraction)):
-        return RatPoly((value,))
+        return _polynomial([value.numerator], value.denominator)
     return NotImplemented
 
 
@@ -196,12 +248,16 @@ def _coerce(value) -> "RatPoly":
 _PRIME_TOP = 2**31 - 1
 _PRIMES: list[int] = []
 
-# (Matrix, prime) lanes of one order reduced together in one (chunk, n, n)
-# int64 array; a chunk may hold the lanes of several matrices. Larger chunks
-# spend less time in per-call numpy overhead but hold larger arrays: all
-# primes in one chunk made `harmspec charpoly` on six G(n, p) graphs with
-# n <= 40 about a third faster and raised its peak memory by 9%.
+# (Matrix, prime) lanes reduced together in one (lanes, N, N) int64 array,
+# each lane zero-padded to the largest order N among them. A kernel call
+# takes PRIME_CHUNK lanes, and more while lanes * N^2 stays within
+# CALL_ENTRIES, the entries of PRIME_CHUNK lanes of order 40; from order 40
+# up every call holds PRIME_CHUNK lanes. Larger calls spend less time in
+# per-call numpy overhead but hold larger arrays: all primes in one call
+# made `harmspec charpoly` on six G(n, p) graphs with n <= 40 about a third
+# faster and raised its peak memory by 9%.
 PRIME_CHUNK = 16
+CALL_ENTRIES = PRIME_CHUNK * 40 * 40
 
 
 def _is_prime(m: int) -> bool:
@@ -244,27 +300,30 @@ def char_polys(matrices: Iterable[Sequence[Sequence[Rat]]]) -> list[RatPoly]:
     matrices, computed exactly, in input order.
 
     Every matrix keeps its own scaling, coefficient bound, primes and check
-    prime. The (matrix, prime) lanes of all matrices of one order are
-    reduced PRIME_CHUNK at a time, so one kernel call may span several
-    matrices; a chunk's residues are built only when it runs. Raises
-    ValueError for a non-square matrix before any reduction."""
+    prime. The (matrix, prime) lanes of all matrices, sorted by order, fill
+    kernel calls in turn, so one call may span matrices of several orders;
+    a call's residues are built only when it runs. Raises ValueError for a
+    non-square matrix before any reduction."""
     plans = [_modular_plan(m) for m in matrices]
-    by_order: dict[int, list[int]] = {}
-    for i, plan in enumerate(plans):
-        by_order.setdefault(len(plan.index), []).append(i)
+    lanes = sorted(((len(plan.index), i, q) for i, plan in enumerate(plans) for q in plan.moduli),
+                   key=operator.itemgetter(0))
     residues: list[list[list[int]]] = [[] for _ in plans]
-    for n, members in by_order.items():
-        lanes = [(i, q) for i in members for q in plans[i].moduli]
-        for start in range(0, len(lanes), PRIME_CHUNK):
-            chunk = lanes[start:start + PRIME_CHUNK]
-            h = np.empty((len(chunk), n, n), dtype=np.int64)
-            for lane, (i, q) in enumerate(chunk):
-                plan = plans[i]
-                f = pow(plan.lcm // plan.scale, -1, q)
-                h[lane] = np.array([v % q * f % q for v in plan.values], dtype=np.int64)[plan.index]
-            out = _hessenberg_char_poly(h, [q for _, q in chunk]).tolist()
-            for (i, _), row in zip(chunk, out):
-                residues[i].append(row)
+    start = 0
+    while start < len(lanes):
+        stop = min(start + PRIME_CHUNK, len(lanes))
+        while stop < len(lanes) and (stop + 1 - start) * lanes[stop][0] ** 2 <= CALL_ENTRIES:
+            stop += 1
+        chunk = lanes[start:stop]
+        top = chunk[-1][0]
+        h = np.zeros((len(chunk), top, top), dtype=np.int64)
+        for lane, (n, i, q) in enumerate(chunk):
+            plan = plans[i]
+            f = pow(plan.lcm // plan.scale, -1, q)
+            h[lane, :n, :n] = np.array([v % q * f % q for v in plan.values], dtype=np.int64)[plan.index]
+        out = _hessenberg_char_poly(h, [q for _, _, q in chunk]).tolist()
+        for (n, i, _), row in zip(chunk, out):
+            residues[i].append(row[top - n:])
+        start = stop
     return [_reconstruct(plan, rows) for plan, rows in zip(plans, residues)]
 
 
@@ -351,8 +410,9 @@ def _reconstruct(plan: _Plan, residues: list[list[int]]) -> RatPoly:
             raise ArithmeticError("modular characteristic polynomial lost exactness")
         cs.append(c)
 
-    # det(xI - M) = P(t*x) / (det(U) * t^n); rescale coefficients.
-    return RatPoly([Fraction(cs[i], plan.det_u * plan.scale ** (n - i)) for i in range(n + 1)])
+    # det(xI - M) = P(t*x) / (det(U) * t^n): numerator i is c_i * t^i.
+    t = plan.scale
+    return _polynomial([c * t**i for i, c in enumerate(cs)], plan.det_u * t**n)
 
 
 def _hessenberg_char_poly(h: np.ndarray, primes: list[int]) -> np.ndarray:
@@ -604,11 +664,12 @@ def _split_rational_roots(
     p: RatPoly, approx: Iterable[float]
 ) -> tuple[list[tuple[Fraction, int]], RatPoly]:
     """``rational_roots(p, approx)`` and the cofactor of p that remains
-    after dividing them out. p is cleared of denominators once; each
-    division of the integer form by a candidate both confirms it and, when
-    it is a root, yields the quotient that is kept."""
+    after dividing them out. Each division of p's integer numerators by a
+    candidate both confirms it and, when it is a root, yields the quotient
+    that is kept; the cofactor's denominator stays p's."""
     roots = []
-    ints, scale = _cleared(p)
+    ints = p.numerators
+    scale = 1
     for cand in {Fraction(e).limit_denominator(ROOT_DENOMINATOR_MAX) for e in approx}:
         mult = 0
         while len(ints) > 1:
@@ -619,18 +680,11 @@ def _split_rational_roots(
             mult += 1
         if mult:
             roots.append((cand, mult))
-            scale = Fraction(scale, cand.denominator ** mult)
-    return sorted(roots, reverse=True), RatPoly(
-        [Fraction(c * scale.denominator, scale.numerator) for c in ints])
+            scale *= cand.denominator ** mult
+    return sorted(roots, reverse=True), _polynomial([c * scale for c in ints], p.denominator)
 
 
-def _cleared(p: RatPoly) -> tuple[list[int], int]:
-    """Integer coefficients A, ascending, and the scale s with p = A / s."""
-    scale = math.lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (scale // c.denominator) for c in p.coeffs], scale
-
-
-def _deflate_ints(ints: list[int], root: Fraction) -> list[int]:
+def _deflate_ints(ints: Sequence[int], root: Fraction) -> list[int]:
     """Exact division of the integer polynomial A by (b x - a), for root =
     a/b in lowest terms; A(root) must be 0. By Gauss's lemma the quotient
     has integer coefficients when the division is exact, so each step
@@ -651,10 +705,10 @@ def _deflate_ints(ints: list[int], root: Fraction) -> list[int]:
 def _deflate(p: RatPoly, root: Fraction) -> RatPoly:
     """Exact division of p by (x - root); p(root) must be 0.
 
-    With p = A / s for an integer polynomial A and root = a/b in lowest
+    With p = A / s for p's integer numerators A and root = a/b in lowest
     terms, the quotient is B * b / s, where B = A / (b x - a)."""
-    ints, scale = _cleared(p)
-    return RatPoly([Fraction(c * root.denominator, scale) for c in _deflate_ints(ints, root)])
+    return _polynomial([c * root.denominator for c in _deflate_ints(p.numerators, root)],
+                       p.denominator)
 
 
 def poly_text(p: RatPoly) -> str:

@@ -30,25 +30,164 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
 
 
 def exact_det(matrix) -> Fraction:
-    """Independent exact determinant via fraction Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+    """Independent exact determinant: each row i of M is cleared by the lcm
+    s_i of its denominators, fraction-free Bareiss elimination gives the
+    integer det(S*M), and det M = det(S*M) / prod(s_i)."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+    a = [[x.numerator * (s // x.denominator) for x in row] for row, s in zip(rows, scales)]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
         if piv is None:
             return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pk = pivot_row[k]
+        # Every entry of the next step's submatrix is a minor of S*M, so
+        # the division by the previous pivot is exact.
+        for i in range(k + 1, n):
+            f = a[i][k]
+            a[i] = [(pk * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pk
+    det = a[-1][-1] if n else 1
+    return Fraction(sign * det, math.prod(scales))
+
+
+class FractionPoly:
+    """Reference polynomial arithmetic: a dense tuple of Fraction
+    coefficients, ascending, with no trailing zero; the zero polynomial has
+    an empty tuple and degree -1. ``harmspec.charpoly.RatPoly`` must give
+    the same coefficients for every operation."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionPoly is immutable")
+
+    @staticmethod
+    def zero() -> "FractionPoly":
+        return FractionPoly(())
+
+    @staticmethod
+    def one() -> "FractionPoly":
+        return FractionPoly((1,))
+
+    @staticmethod
+    def monomial(k: int, c=1) -> "FractionPoly":
+        return FractionPoly((0,) * k + (c,))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def leading(self) -> Fraction:
+        if self.is_zero:
+            return Fraction(0)
+        return self.coeffs[-1]
+
+    def coefficient(self, k: int) -> Fraction:
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return Fraction(0)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FractionPoly):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == FractionPoly((other,))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other) -> "FractionPoly":
+        other = _fraction_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionPoly":
+        return FractionPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other) -> "FractionPoly":
+        other = _fraction_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other) -> "FractionPoly":
+        return _fraction_poly(other) + (-self)
+
+    def __mul__(self, other) -> "FractionPoly":
+        if isinstance(other, (int, Fraction)):
+            return FractionPoly(tuple(c * other for c in self.coeffs))
+        if not isinstance(other, FractionPoly):
+            return NotImplemented
+        if self.is_zero or other.is_zero:
+            return FractionPoly.zero()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "FractionPoly":
+        if k < 0:
+            raise ValueError("negative polynomial power")
+        result = FractionPoly.one()
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
+
+    def evaluate(self, x) -> Fraction:
+        """Exact evaluation by Horner's rule."""
+        x = Fraction(x)
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def __repr__(self):
+        return f"FractionPoly({list(map(str, self.coeffs))})"
+
+
+def _fraction_poly(value):
+    if isinstance(value, FractionPoly):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return FractionPoly((value,))
+    return NotImplemented
 
 
 def brute_force_regular_classes(n: int, d: int) -> list:

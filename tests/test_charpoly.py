@@ -1,10 +1,10 @@
 import math
 import random
 from collections import Counter
-from itertools import accumulate
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +28,7 @@ from harmspec.charpoly import (
     closed_form_windmill_product,
     factored_display,
     graph_char_poly,
+    graph_char_polys,
     poly_json,
     poly_text,
     rational_roots,
@@ -48,6 +49,7 @@ from harmspec.harmonic import harmonic_matrix
 from harmspec.spectrum import eigenvalues_symmetric
 
 from conftest import (
+    FractionPoly,
     audit_exact_polynomial_graphs,
     divisor_rational_roots,
     exact_det,
@@ -90,6 +92,114 @@ class TestPolyArithmetic:
         p = X + 1
         with pytest.raises(AttributeError):
             p.coeffs = ()
+        with pytest.raises(AttributeError):
+            p.numerators = ()
+
+
+_BIG = 10**30
+
+# Zero, integers and fractions with large and negative numerators and
+# denominators, and small fractions whose denominators share factors, so
+# that sums and products have common factors to cancel.
+coefficient = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-_BIG, _BIG).map(Fraction),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, 10**20)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6, 12))),
+)
+coefficients = st.lists(coefficient, max_size=7)
+scalar = st.one_of(st.integers(-_BIG, _BIG), coefficient)
+
+
+def _assert_canonical(p: RatPoly):
+    assert all(type(c) is int for c in p.numerators) and type(p.denominator) is int
+    assert p.denominator > 0
+    assert math.gcd(p.denominator, *p.numerators) == 1
+    assert not p.numerators or p.numerators[-1] != 0
+    assert p.numerators or p.denominator == 1
+
+
+def _assert_matches(p: RatPoly, ref: FractionPoly):
+    assert isinstance(p, RatPoly)
+    assert p.coeffs == ref.coeffs
+    _assert_canonical(p)
+
+
+class TestRatPolyAgainstReference:
+    """Every RatPoly operation gives the coefficients of the Fraction-backed
+    FractionPoly kept in conftest, and every result is canonical."""
+
+    @given(coefficients, coefficients)
+    @settings(max_examples=150, deadline=None)
+    def test_polynomial_operations(self, a, b):
+        p, q, ref_p, ref_q = RatPoly(a), RatPoly(b), FractionPoly(a), FractionPoly(b)
+        _assert_matches(p, ref_p)
+        _assert_matches(p + q, ref_p + ref_q)
+        _assert_matches(p - q, ref_p - ref_q)
+        _assert_matches(p * q, ref_p * ref_q)
+        assert (p == q) == (ref_p == ref_q)
+
+    @given(coefficients, scalar)
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_operations(self, a, c):
+        p, ref = RatPoly(a), FractionPoly(a)
+        _assert_matches(p + c, ref + c)
+        _assert_matches(c + p, c + ref)
+        _assert_matches(p - c, ref - c)
+        _assert_matches(c - p, c - ref)
+        _assert_matches(p * c, ref * c)
+        _assert_matches(c * p, c * ref)
+        assert (p == c) == (ref == c)
+
+    @given(coefficients, st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_power_and_negation(self, a, k):
+        p, ref = RatPoly(a), FractionPoly(a)
+        _assert_matches(p ** k, ref ** k)
+        _assert_matches(-p, -ref)
+
+    @given(coefficients, coefficients, coefficient.filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_polynomials_hash_equal(self, a, b, c):
+        # The same polynomial by routes whose intermediate denominators
+        # differ: trailing zeros, a scalar and its inverse, adding and
+        # taking away another polynomial.
+        p, q = RatPoly(a), RatPoly(b)
+        for same in (RatPoly(a + [0, 0]), p * c * (1 / c), p + q - q, -(-p), p * RatPoly.one()):
+            _assert_canonical(same)
+            assert same == p and hash(same) == hash(p)
+        if p == q:
+            assert hash(p) == hash(q)
+
+    @given(coefficients, coefficient)
+    @settings(max_examples=100, deadline=None)
+    def test_evaluate(self, a, x):
+        p, ref = RatPoly(a), FractionPoly(a)
+        assert p.evaluate(x) == p(x) == ref.evaluate(x)
+        assert p.evaluate(int(x)) == ref.evaluate(int(x))
+
+    @given(coefficients)
+    @settings(max_examples=100, deadline=None)
+    def test_accessors(self, a):
+        p, ref = RatPoly(a), FractionPoly(a)
+        assert p.degree == ref.degree
+        assert p.leading == ref.leading
+        assert p.is_zero == ref.is_zero
+        for k in range(-2, len(a) + 2):
+            assert p.coefficient(k) == ref.coefficient(k)
+            assert type(p.coefficient(k)) is Fraction
+
+    @given(st.integers(0, 8), scalar)
+    @settings(max_examples=50, deadline=None)
+    def test_monomial(self, k, c):
+        _assert_matches(RatPoly.monomial(k, c), FractionPoly.monomial(k, c))
+
+    def test_zero_and_one(self):
+        _assert_matches(RatPoly.zero(), FractionPoly.zero())
+        _assert_matches(RatPoly.one(), FractionPoly.one())
+        _assert_matches(RatPoly.x(), FractionPoly((0, 1)))
+        assert RatPoly.zero().denominator == 1 and RatPoly.zero().numerators == ()
+        assert (X * HALF - X * HALF).denominator == 1
 
 
 class TestCharPoly:
@@ -611,6 +721,31 @@ class TestModularCharPoly:
         assert calls == [first + second]
 
     @pytest.mark.parametrize("lane", [0, -1], ids=["reconstruction-prime", "check-prime"])
+    def test_corrupted_residues_of_a_padded_matrix_raise(self, monkeypatch, lane):
+        # C5 and Petersen share one kernel call of order 10, C5's lanes
+        # first and zero-padded from order 5; corrupt a lane of C5 in the
+        # constant term of its own polynomial.
+        matrices = [harmonic_matrix(petersen()), harmonic_matrix(cycle(5))]
+        first, second = (len(charpoly._modular_plan(m).moduli) for m in matrices)
+        assert first + second <= charpoly.PRIME_CHUNK
+        target = 0 if lane == 0 else second - 1
+        reduce = charpoly._hessenberg_char_poly
+        calls = []
+
+        def corrupt(h, primes):
+            calls.append(h.shape)
+            out = reduce(h, primes)
+            # det(xI - diag(M, 0)) = x^5 det(xI - M) on C5's lanes.
+            assert not out[:second, :5].any()
+            out[target, 5] = (out[target, 5] + 1) % primes[target]
+            return out
+
+        monkeypatch.setattr(charpoly, "_hessenberg_char_poly", corrupt)
+        with pytest.raises(ArithmeticError, match="lost exactness"):
+            char_polys(matrices)
+        assert calls == [(first + second, 10, 10)]
+
+    @pytest.mark.parametrize("lane", [0, -1], ids=["reconstruction-prime", "check-prime"])
     def test_corrupted_residues_of_a_row_scaled_plan_raise(self, monkeypatch, lane):
         # A non-regular graph whose rows have different denominators, so
         # its plan scales by t = gcd(s_i) rather than lcm(s_i), with det U
@@ -632,21 +767,88 @@ class TestModularCharPoly:
             char_poly(m)
 
 
-class TestStackedCharPolys:
-    """char_polys shares kernel calls between the matrices of one order."""
+def _spy_kernel(monkeypatch) -> list[tuple[tuple[int, int, int], list[int], list[int]]]:
+    """Record every kernel call: the shape of its residue stack, its primes,
+    and each lane's order, read as the number of nonzero rows of the lane's
+    padded matrix."""
+    reduce = charpoly._hessenberg_char_poly
+    calls = []
 
-    def test_mixed_orders_match_reference(self):
+    def spy(h, primes):
+        calls.append((h.shape, list(primes), np.count_nonzero(h.any(axis=2), axis=1).tolist()))
+        return reduce(h, primes)
+
+    monkeypatch.setattr(charpoly, "_hessenberg_char_poly", spy)
+    return calls
+
+
+def _matrices_in(primes: list[int]) -> int:
+    """How many matrices' lanes a call holds: each matrix takes its primes
+    in descending order, so a prime no smaller than the one before starts
+    the next matrix."""
+    return 1 + sum(b >= a for a, b in zip(primes, primes[1:]))
+
+
+def _within_budget(shape: tuple[int, int, int]) -> bool:
+    lanes, n, _ = shape
+    return lanes <= charpoly.PRIME_CHUNK or lanes * n * n <= charpoly.CALL_ENTRIES
+
+
+class TestStackedCharPolys:
+    """char_polys sorts the lanes of all matrices by order and fills each
+    kernel call with consecutive lanes, zero-padded to the call's largest
+    order."""
+
+    def test_mixed_orders_match_reference(self, monkeypatch):
         rng = random.Random(41)
         large = [harmonic_matrix(random_graph(rng, 40, 0.5)) for _ in range(2)]
         small = [harmonic_matrix(random_graph(rng, 20, 0.15)) for _ in range(3)]
         matrices = [harmonic_matrix(g) for g in audit_exact_polynomial_graphs()]
         matrices[3:3] = [large[0], small[0], [], small[1], [[Fraction(-5, 3)]], large[1], small[2]]
-        # The lanes of each random order run across a chunk boundary into
-        # the next matrix, so some kernel call holds residues of two.
-        for group in (large, small):
-            lanes = [len(charpoly._modular_plan(m).moduli) for m in group]
-            assert any(start % charpoly.PRIME_CHUNK for start in accumulate(lanes[:-1]))
+        calls = _spy_kernel(monkeypatch)
         assert char_polys(matrices) == [faddeev_leverrier_char_poly(m) for m in matrices]
+        # Some kernel call holds the lanes of several matrices, and some
+        # matrix's lanes run across two calls.
+        assert any(_matrices_in(primes) > 1 for _, primes, _ in calls)
+        assert any(primes[0] != _P1 for _, primes, _ in calls)
+        assert all(_within_budget(shape) for shape, _, _ in calls)
+
+    def test_one_call_holds_several_orders(self, monkeypatch):
+        # Orders 0 to 25, every entry nonzero, so that a lane's order is the
+        # number of nonzero rows of its padded matrix.
+        rng = random.Random(43)
+        matrices = [[[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                      for _ in range(n)] for _ in range(n)] for n in range(26)]
+        rng.shuffle(matrices)
+        calls = _spy_kernel(monkeypatch)
+        assert char_polys(matrices) == [faddeev_leverrier_char_poly(m) for m in matrices]
+        assert {0, 1} < set(calls[0][2])
+        for shape, primes, orders in calls:
+            assert shape[0] == len(primes) == len(orders)
+            assert shape[1] == max(orders)
+            assert _within_budget(shape)
+        lanes = sorted(order for _, _, orders in calls for order in orders)
+        assert lanes == sorted(len(m) for m in matrices
+                               for _ in charpoly._modular_plan(m).moduli)
+
+    def test_audit_batch_takes_two_calls(self, monkeypatch):
+        # Grouped by order, the audit's 201 lanes of orders 2 to 25 took 23
+        # kernel calls.
+        graphs = audit_exact_polynomial_graphs()
+        calls = _spy_kernel(monkeypatch)
+        graph_char_polys(graphs)
+        assert [shape[1] for shape, _, _ in calls] == [12, 25]
+        assert all(_within_budget(shape) for shape, _, _ in calls)
+        assert sum(len(primes) for _, primes, _ in calls) == sum(
+            len(charpoly._modular_plan(harmonic_matrix(g)).moduli) for g in graphs)
+
+    def test_order_40_calls_hold_prime_chunk_lanes(self, monkeypatch):
+        m = harmonic_matrix(random_graph(random.Random(1), 40, 0.5))
+        full, rest = divmod(len(charpoly._modular_plan(m).moduli), charpoly.PRIME_CHUNK)
+        calls = _spy_kernel(monkeypatch)
+        char_poly(m)
+        assert [shape for shape, _, _ in calls] == (
+            [(charpoly.PRIME_CHUNK, 40, 40)] * full + [(rest, 40, 40)] * bool(rest))
 
     def test_batch_equals_one_at_a_time(self):
         matrices = [harmonic_matrix(g) for g in audit_exact_polynomial_graphs()]
