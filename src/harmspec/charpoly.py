@@ -49,6 +49,7 @@ import numpy as np
 
 from .graphs import Graph
 from .harmonic import harmonic_matrix
+from .spectrum import order_batches
 
 Rat = int | Fraction
 
@@ -249,15 +250,14 @@ _PRIME_TOP = 2**31 - 1
 _PRIMES: list[int] = []
 
 # (Matrix, prime) lanes reduced together in one (lanes, N, N) int64 array,
-# each lane zero-padded to the largest order N among them. A kernel call
-# takes PRIME_CHUNK lanes, and more while lanes * N^2 stays within
-# CALL_ENTRIES, the entries of PRIME_CHUNK lanes of order 40; from order 40
-# up every call holds PRIME_CHUNK lanes. Larger calls spend less time in
-# per-call numpy overhead but hold larger arrays: all primes in one call
-# made `harmspec charpoly` on six G(n, p) graphs with n <= 40 about a third
-# faster and raised its peak memory by 9%.
+# each lane zero-padded to the largest order N among them. order_batches
+# cuts the lanes, sorted by order, into kernel calls: PRIME_CHUNK lanes,
+# and more while lanes * N^2 stays within BATCH_ENTRIES, the entries of 16
+# lanes of order 40; from order 40 up every call holds PRIME_CHUNK lanes.
+# Larger calls spend less time in per-call numpy overhead but hold larger
+# arrays: all primes in one call made `harmspec charpoly` on six G(n, p)
+# graphs with n <= 40 about a third faster and raised its peak memory by 9%.
 PRIME_CHUNK = 16
-CALL_ENTRIES = PRIME_CHUNK * 40 * 40
 
 
 def _is_prime(m: int) -> bool:
@@ -308,12 +308,8 @@ def char_polys(matrices: Iterable[Sequence[Sequence[Rat]]]) -> list[RatPoly]:
     lanes = sorted(((len(plan.index), i, q) for i, plan in enumerate(plans) for q in plan.moduli),
                    key=operator.itemgetter(0))
     residues: list[list[list[int]]] = [[] for _ in plans]
-    start = 0
-    while start < len(lanes):
-        stop = min(start + PRIME_CHUNK, len(lanes))
-        while stop < len(lanes) and (stop + 1 - start) * lanes[stop][0] ** 2 <= CALL_ENTRIES:
-            stop += 1
-        chunk = lanes[start:stop]
+    for batch in order_batches([n for n, _, _ in lanes], least=PRIME_CHUNK):
+        chunk = lanes[batch]
         top = chunk[-1][0]
         h = np.zeros((len(chunk), top, top), dtype=np.int64)
         for lane, (n, i, q) in enumerate(chunk):
@@ -323,7 +319,6 @@ def char_polys(matrices: Iterable[Sequence[Sequence[Rat]]]) -> list[RatPoly]:
         out = _hessenberg_char_poly(h, [q for _, _, q in chunk]).tolist()
         for (n, i, _), row in zip(chunk, out):
             residues[i].append(row[top - n:])
-        start = stop
     return [_reconstruct(plan, rows) for plan, rows in zip(plans, residues)]
 
 
@@ -700,15 +695,6 @@ def _deflate_ints(ints: Sequence[int], root: Fraction) -> list[int]:
     if rem or ints[0] + a * acc:
         raise ArithmeticError(f"deflation by {root} left a remainder: lost exactness")
     return out[::-1]
-
-
-def _deflate(p: RatPoly, root: Fraction) -> RatPoly:
-    """Exact division of p by (x - root); p(root) must be 0.
-
-    With p = A / s for p's integer numerators A and root = a/b in lowest
-    terms, the quotient is B * b / s, where B = A / (b x - a)."""
-    return _polynomial([c * root.denominator for c in _deflate_ints(p.numerators, root)],
-                       p.denominator)
 
 
 def poly_text(p: RatPoly) -> str:

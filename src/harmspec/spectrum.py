@@ -12,15 +12,17 @@ largest, and does round r of every matrix in the stack with the same
 numpy calls; a matrix of order n takes part only in the rounds of its own
 n-order schedule. At the orders used here the time of a round is the
 overhead of its ~50 calls, not their arithmetic, so a stack of k matrices
-costs far less than k solves. Each matrix keeps its own live pairs, and
-its Frobenius threshold, off-diagonal norm and sweep count come from its
-own n x n block. It leaves the stack once its off-diagonal norm is at or
-below its threshold; its arithmetic, and so every bit of its results, is
-the same in any stack as alone. A single matrix is a stack of one. The
-order is fixed and there is no randomization, so a given matrix always
-produces bit-identical output. Harmonic matrices are built as floats
-(harmonic_float_matrix), and every tolerance is relative to the Frobenius
-norm.
+costs far less than k solves. harmonic_energies sorts its graphs by order
+and cuts them into stacks with order_batches, the rule by which the
+characteristic polynomial kernel cuts its calls too. Each matrix keeps
+its own live pairs, and its Frobenius threshold, off-diagonal norm and
+sweep count come from its own n x n block. It leaves the stack once its
+off-diagonal norm is at or below its threshold; its arithmetic, and so
+every bit of its results, is the same in any stack as alone. A single
+matrix is a stack of one. The order is fixed and there is no
+randomization, so a given matrix always produces bit-identical output.
+Harmonic matrices are built as floats (harmonic_float_matrix), and every
+tolerance is relative to the Frobenius norm.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from .harmonic import harmonic_float_matrix
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
-# harmonic_energies solves at most this many matrix entries in one stack,
-# counting each matrix at the padded size of the largest order in it.
-STACK_ENTRIES = 1 << 15
+# The padded matrix entries of one batch under order_batches: 16 matrices
+# of order 40. Jacobi stacks larger than 16 at order 40 gain nothing.
+BATCH_ENTRIES = 16 * 40 * 40
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -92,36 +94,37 @@ def _norm(block: np.ndarray, off: bool = False) -> float:
     return math.sqrt(x.dot(x))
 
 
+def order_batches(orders: Sequence[int], least: int = 1) -> list[slice]:
+    """Cut items sorted by ascending matrix order into consecutive batches,
+    one slice each: a batch takes ``least`` items (all that are left, if
+    fewer), then more while its count times the square of its largest
+    order stays within BATCH_ENTRIES."""
+    batches = []
+    start = 0
+    while start < len(orders):
+        stop = min(start + least, len(orders))
+        while stop < len(orders) and (stop + 1 - start) * orders[stop] ** 2 <= BATCH_ENTRIES:
+            stop += 1
+        batches.append(slice(start, stop))
+        start = stop
+    return batches
+
+
 @functools.lru_cache(maxsize=None)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The rounds (P, Q, P*n + Q) of one sweep: index 0 stays put and the
-    others rotate one place per round, so every pair p < q meets once. For
-    odd n a dummy index n pads the tournament and its pairs are dropped."""
+def _round_robin(n: int) -> np.ndarray:
+    """The (3, n(n-1)/2) table of round r, p and q of every pair p < q of
+    one sweep, in round order: index 0 stays put and the others rotate one
+    place per round, so every pair meets once. For odd n a dummy index n
+    pads the tournament and its pairs are dropped."""
     m = n + (n & 1)
     ring = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = sorted((min(xy), max(xy)) for xy in zip(ring[: m // 2], ring[::-1]) if max(xy) < n)
-        if pairs:
-            p, q = np.array(list(zip(*pairs)), dtype=np.intp)
-            rounds.append((p, q, p * n + q))
-            for index in rounds[-1]:
-                index.flags.writeable = False  # shared by every caller
+    table = []
+    for r in range(m - 1):
+        table += sorted((r, min(xy), max(xy)) for xy in zip(ring[: m // 2], ring[::-1]) if max(xy) < n)
         ring = [ring[0], ring[-1], *ring[1:-1]]
-    return tuple(rounds)
-
-
-@functools.lru_cache(maxsize=None)
-def _sweep_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The round number, p and q of every pair of one sweep of
-    _round_robin(n), n >= 2, in round order."""
-    rounds = _round_robin(n)
-    r = np.repeat(np.arange(len(rounds), dtype=np.intp), [len(p) for p, _, _ in rounds])
-    p = np.concatenate([p for p, _, _ in rounds])
-    q = np.concatenate([q for _, q, _ in rounds])
-    for index in (r, p, q):
-        index.flags.writeable = False  # shared by every caller
-    return r, p, q
+    rpq = np.array(table, dtype=np.intp).reshape(-1, 3).T
+    rpq.flags.writeable = False  # shared by every caller
+    return rpq
 
 
 # The sweeps of a stack share one key until a member converges, so a few
@@ -136,15 +139,9 @@ def _stacked_rounds(orders: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ..
     w.reshape(N, k*N) and of rows p and q in w.reshape(N*k, N); first as
     one 2-D array, for dropping dead pairs in one call, then as its rows."""
     k, n = len(orders), max(orders)
-    members: dict[int, list[int]] = {}
-    for i, order in enumerate(orders):
-        members.setdefault(order, []).append(i)
-    parts = []
-    for order, ks in members.items():
-        r, p, q = _sweep_pairs(order)
-        parts.append((np.tile(r, len(ks)), np.tile(p, len(ks)), np.tile(q, len(ks)),
-                      np.repeat(np.array(ks, dtype=np.intp), len(r))))
-    R, P, Q, K = (np.concatenate(column) for column in zip(*parts))
+    tables = [_round_robin(order) for order in orders]
+    R, P, Q = np.concatenate(tables, axis=1)
+    K = np.repeat(np.arange(k, dtype=np.intp), [table.shape[1] for table in tables])
     by_round = np.argsort(R, kind="stable")
     R, P, Q, K = R[by_round], P[by_round], Q[by_round], K[by_round]
     PK, QK = P * k + K, Q * k + K
@@ -267,23 +264,18 @@ def eigenvalues_symmetric(
 
 def harmonic_energies(graphs: Sequence[Graph], tol: float = DEFAULT_TOL) -> list[EnergyReport]:
     """Harmonic energy of every graph, in input order. The graphs, sorted
-    by order, are cut into stacks of at most STACK_ENTRIES padded matrix
-    entries (one graph at least), each solved in one call."""
+    by order, are cut into stacks by order_batches, each solved in one
+    call."""
     _check_tol(tol)
     by_order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
     reports: list[EnergyReport | None] = [None] * len(graphs)
-    start = 0
-    while start < len(by_order):
-        stop = start + 1
-        while stop < len(by_order) and (stop + 1 - start) * graphs[by_order[stop]].n ** 2 <= STACK_ENTRIES:
-            stop += 1
-        chunk = by_order[start:stop]
+    for batch in order_batches([graphs[i].n for i in by_order]):
+        chunk = by_order[batch]
         stack = [harmonic_float_matrix(graphs[i]) for i in chunk]
         for i, (eig, off, sweeps) in zip(chunk, jacobi_eigenvalues_stack(stack, tol)):
             spec = Spectrum(tuple(float(x) for x in eig), off, sweeps)
             he = float(sum(abs(x) for x in spec.eigenvalues))
             reports[i] = EnergyReport(he, encode_graph6(graphs[i]), spec)
-        start = stop
     return reports
 
 

@@ -486,16 +486,40 @@ def cyclic_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100):
     return np.sort(np.diag(a))[::-1], off, sweeps
 
 
+def ring_schedule(n: int) -> list[tuple[list[int], list[int]]]:
+    """Reference round-robin tournament on n indices, as the p and q lists
+    of each round's pairs p < q. An even count m of seats (n, plus a dummy
+    seat n for odd n) sit in a ring; seat 0 holds index 0 and the others
+    hold index 1 + (seat - 1 - r) mod (m - 1) in round r, so every index
+    but 0 moves one seat per round. Round r pairs seat i with seat
+    m - 1 - i; pairs with the dummy, and rounds left empty, are dropped."""
+    m = n + (n & 1)
+
+    def index(seat: int, r: int) -> int:
+        return 0 if seat == 0 else 1 + (seat - 1 - r) % (m - 1)
+
+    rounds = []
+    for r in range(m - 1):
+        pairs = sorted(
+            (min(x, y), max(x, y))
+            for x, y in ((index(i, r), index(m - 1 - i, r)) for i in range(m // 2))
+            if max(x, y) < n
+        )
+        if pairs:
+            rounds.append(([p for p, _ in pairs], [q for _, q in pairs]))
+    return rounds
+
+
 def round_robin_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100):
     """Reference eigensolver: round-robin Jacobi on one matrix, the schedule
-    of ``spectrum._round_robin`` with each round's rotations applied as one
-    column and one row update, skipping pairs whose entry is already 0.0.
+    of ``ring_schedule`` with each round's rotations applied as one column
+    and one row update, skipping pairs whose entry is already 0.0.
     ``jacobi_eigenvalues_stack`` must give every member of a stack these
     results bit for bit. Returns (eigenvalues sorted non-increasing,
     off-diagonal norm, sweeps) like ``jacobi_eigenvalues``."""
     import numpy as np
 
-    from harmspec.spectrum import JacobiConvergenceError, _round_robin
+    from harmspec.spectrum import JacobiConvergenceError
 
     def off_norm(m):
         return float(np.linalg.norm(m - np.diag(np.diag(m))))
@@ -504,16 +528,16 @@ def round_robin_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100)
     n = a.shape[0]
     if n == 0:
         return np.array([]), 0.0, 0
-    flat = a.reshape(-1)
     diag = a.diagonal()
+    rounds = [(np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)) for p, q in ring_schedule(n)]
     threshold = tol * float(np.linalg.norm(a))
     sweeps = 0
     off = off_norm(a)
     while off > threshold:
         if sweeps >= max_sweeps:
             raise JacobiConvergenceError(off, sweeps)
-        for p, q, pq in _round_robin(n):
-            apq = flat[pq]
+        for p, q in rounds:
+            apq = a[p, q]
             live = apq != 0.0
             if not live.all():
                 if not live.any():
@@ -540,6 +564,22 @@ def round_robin_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100)
     return np.sort(diag)[::-1], off, sweeps
 
 
+def fraction_deflate(p, root: Fraction):
+    """Reference deflation: the quotient of p by (x - root), by synthetic
+    division over the Fractions. Raises ArithmeticError unless the
+    remainder p(root) is 0."""
+    from harmspec.charpoly import RatPoly
+
+    *rest, acc = p.coeffs
+    quotient = []
+    for c in reversed(rest):
+        quotient.append(acc)
+        acc = acc * root + c
+    if acc:
+        raise ArithmeticError(f"{root} is not a root")
+    return RatPoly(quotient[::-1])
+
+
 def divisor_rational_roots(p) -> list:
     """Reference rational-root search: every p/q with p dividing the
     constant term and q dividing the leading coefficient of the
@@ -547,7 +587,7 @@ def divisor_rational_roots(p) -> list:
     division stops at 1e5 and takes the cofactor as prime, so it can miss
     roots of polynomials with large coefficients; it is a reference only
     where those coefficients are smooth."""
-    from harmspec.charpoly import RatPoly, _deflate
+    from harmspec.charpoly import RatPoly
 
     def divisors(n: int) -> list[int]:
         if n == 0:
@@ -583,7 +623,7 @@ def divisor_rational_roots(p) -> list:
         for cand in sorted(mags | {-c for c in mags}):
             mult = 0
             while q.degree >= 1 and q.evaluate(cand) == 0:
-                q = _deflate(q, cand)
+                q = fraction_deflate(q, cand)
                 mult += 1
             if mult:
                 roots.append((cand, mult))

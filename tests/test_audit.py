@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from harmspec import audit, charpoly
+from harmspec import audit, charpoly, spectrum
 from harmspec.audit import (
     CLAIMS,
     EXACT_MATCH,
@@ -199,14 +199,21 @@ def test_renderings():
 def solves(monkeypatch):
     """The inputs of every spectrum and every exact CP call the audit makes:
     the graph6 of each graph given to harmonic_energies as audit reaches it
-    (the census keeps its own reference), and each matrix given to
-    char_polys."""
-    calls = {"spectra": [], "charpolys": []}
+    (the census keeps its own reference), the orders of each Jacobi stack
+    that call solves, and each matrix given to char_polys."""
+    calls = {"spectra": [], "stacks": [], "charpolys": []}
     energies, polys = audit.harmonic_energies, charpoly.char_polys
+    solve_stack = spectrum.jacobi_eigenvalues_stack
+
+    def spy_stack(stack, *args, **kwargs):
+        calls["stacks"].append([len(a) for a in stack])
+        return solve_stack(stack, *args, **kwargs)
 
     def spy_energies(graphs, *args, **kwargs):
         calls["spectra"].append([encode_graph6(g) for g in graphs])
-        return energies(graphs, *args, **kwargs)
+        with monkeypatch.context() as patch:
+            patch.setattr(spectrum, "jacobi_eigenvalues_stack", spy_stack)
+            return energies(graphs, *args, **kwargs)
 
     def spy_polys(matrices):
         matrices = list(matrices)
@@ -224,13 +231,18 @@ def test_audit_all_solves_each_distinct_graph_once(solves):
     (charpolys,) = solves["charpolys"]
     assert len(spectra) == len(set(spectra)) == 77
     assert len(charpolys) == len(set(charpolys)) == 94
+    # Sorted by order and cut by spectrum.order_batches: 74 graphs of
+    # orders 2 to 17 fit 16 * 40^2 padded entries, then orders 19, 21, 25.
+    first, second = solves["stacks"]
+    assert len(first) == 74 and (first[0], first[-1]) == (2, 17) and first == sorted(first)
+    assert second == [19, 21, 25]
 
 
 @pytest.mark.parametrize("unknown", ["no-such-claim", "zz-no-such-claim"])
 def test_unknown_claim_rejected_before_any_solve(solves, unknown):
     with pytest.raises(ValueError, match=unknown):
         audit_all(["thm-star-energy", unknown])
-    assert solves == {"spectra": [], "charpolys": []}
+    assert solves == {"spectra": [], "stacks": [], "charpolys": []}
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from harmspec import charpoly
 from harmspec.census import enumerate_regular
 from harmspec.charpoly import (
     RatPoly,
-    _deflate,
+    _deflate_ints,
     char_poly,
     char_polys,
     closed_form_complete,
@@ -46,7 +46,7 @@ from harmspec.families import (
 )
 from harmspec.graphs import decode_graph6, disjoint_union
 from harmspec.harmonic import harmonic_matrix
-from harmspec.spectrum import eigenvalues_symmetric
+from harmspec.spectrum import BATCH_ENTRIES, eigenvalues_symmetric
 
 from conftest import (
     FractionPoly,
@@ -54,6 +54,7 @@ from conftest import (
     divisor_rational_roots,
     exact_det,
     faddeev_leverrier_char_poly,
+    fraction_deflate,
     global_scale_modulus_count,
     graph_strategy,
     random_graph,
@@ -375,14 +376,14 @@ class TestDisplay:
     def test_deflate_by_non_root_raises(self):
         # x^2 - 1 leaves remainder 3 at x = 2; this must survive python -O.
         with pytest.raises(ArithmeticError, match="lost exactness"):
-            _deflate(RatPoly((-1, 0, 1)), Fraction(2))
+            _deflate_ints(RatPoly((-1, 0, 1)).numerators, Fraction(2))
 
     @pytest.mark.parametrize("p, root", [((0, 0, 1), HALF), ((1, 3, 2, 5), Fraction(-2, 3))])
     def test_deflate_by_fraction_non_root_raises(self, p, root):
         # Integer division by (b x - a) must check every step's remainder:
         # λ^2 at 1/2 leaves none at the last step once the others are dropped.
         with pytest.raises(ArithmeticError, match="lost exactness"):
-            _deflate(RatPoly(p), root)
+            _deflate_ints(RatPoly(p).numerators, root)
 
     def test_deflate_inverts_multiplication(self):
         rng = random.Random(17)
@@ -391,7 +392,11 @@ class TestDisplay:
             q = RatPoly([Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(rng.randint(1, 8))])
             if q.is_zero:
                 continue
-            assert _deflate(q * (X - root), root) == q
+            # p = A / s and A = B * (b x - a) for root = a/b, so the
+            # quotient of p by (x - root) is B * b / s.
+            p = q * (X - root)
+            quotient = _deflate_ints(p.numerators, root)
+            assert RatPoly(quotient) * Fraction(root.denominator, p.denominator) == q
 
     def test_high_multiplicity_roots_found(self):
         p = closed_form_complete(12)
@@ -525,7 +530,7 @@ class TestDivisorReference:
             roots = divisor_rational_roots(p)
             for root, mult in roots:
                 for _ in range(mult):
-                    p = _deflate(p, root)
+                    p = fraction_deflate(p, root)
             return roots, p
 
         monkeypatch.setattr(charpoly, "_split_rational_roots", divisor_split)
@@ -791,7 +796,7 @@ def _matrices_in(primes: list[int]) -> int:
 
 def _within_budget(shape: tuple[int, int, int]) -> bool:
     lanes, n, _ = shape
-    return lanes <= charpoly.PRIME_CHUNK or lanes * n * n <= charpoly.CALL_ENTRIES
+    return lanes <= charpoly.PRIME_CHUNK or lanes * n * n <= BATCH_ENTRIES
 
 
 class TestStackedCharPolys:

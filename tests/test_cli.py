@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from harmspec.cli import main
+from harmspec.cli import build_parser, main
 from harmspec.graphs import decode_graph6, encode_graph6
 from harmspec.harmonic import harmonic_matrix
 
@@ -388,6 +388,27 @@ class TestErrors:
     def test_unknown_flag(self, capsys):
         code, _, _ = run(capsys, "gen", "--family", "petersen", "--bogus")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flag, commands",
+        [
+            (("--tol", "1e-10"), {"energy"}),
+            (("--decimals", "3"), {"energy", "census"}),
+            (("--quiet",), {"census", "audit"}),
+        ],
+    )
+    def test_flag_belongs_to_its_subcommands(self, capsys, flag, commands):
+        # These flags are not shared: every other subcommand rejects them.
+        takes = set()
+        for command in ("gen", "matrix", "index", "charpoly", "energy", "census", "audit"):
+            try:
+                build_parser().parse_args([command, *flag])
+            except SystemExit as exc:
+                assert exc.code == 1
+                assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+            else:
+                takes.add(command)
+        assert takes == commands
 
     @pytest.mark.parametrize(
         "argv",

@@ -27,6 +27,7 @@ from harmspec.spectrum import (
     harmonic_energy,
     jacobi_eigenvalues,
     jacobi_eigenvalues_stack,
+    order_batches,
     spectrum_json,
 )
 
@@ -35,6 +36,7 @@ from conftest import (
     cyclic_jacobi_eigenvalues,
     graph_strategy,
     random_graph,
+    ring_schedule,
     round_robin_jacobi_eigenvalues,
 )
 
@@ -97,16 +99,20 @@ def _eigvalsh_error(a: np.ndarray) -> float:
 class TestRoundRobin:
     @pytest.mark.parametrize("n", range(1, 14))
     def test_schedule(self, n):
-        rounds = _round_robin(n)
+        r, p, q = table = _round_robin(n)
+        assert not table.flags.writeable  # shared by every caller
+        assert list(r) == sorted(r)
         if n > 1:
-            assert len(rounds) == (n - 1 if n % 2 == 0 else n)
-        seen = []
-        for p, q, pq in rounds:
-            assert len(p) == len(q) == n // 2
-            assert len(set(p) | set(q)) == 2 * len(p)  # disjoint pairs
-            assert all(p < q) and list(pq) == list(p * n + q)
-            seen += zip(p.tolist(), q.tolist())
-        assert sorted(seen) == list(combinations(range(n), 2))
+            assert list(np.unique(r)) == list(range(n - 1 if n % 2 == 0 else n))
+        rounds = []
+        for k in np.unique(r):
+            pk, qk = p[r == k], q[r == k]
+            assert len(pk) == len(qk) == n // 2
+            assert len(set(pk) | set(qk)) == 2 * len(pk)  # disjoint pairs
+            assert all(pk < qk)
+            rounds.append((pk.tolist(), qk.tolist()))
+        assert sorted(zip(p.tolist(), q.tolist())) == list(combinations(range(n), 2))
+        assert rounds == ring_schedule(n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 31, 50, 64, 99, 100])
     def test_agrees_with_eigvalsh(self, n):
@@ -350,8 +356,8 @@ class TestStackedJacobi:
 
     def test_chunks_in_input_order(self, monkeypatch):
         # Sorted by order, 7 graphs of order 5 and then 21 of order 40 fill
-        # stacks of at most STACK_ENTRIES padded entries: 20 matrices once
-        # order 40 is in, then the 8 left. Reports come back in input order.
+        # stacks of at most BATCH_ENTRIES padded entries: 16 matrices once
+        # order 40 is in, then the 12 left. Reports come back in input order.
         calls = []
 
         def spy(stack, *args, **kwargs):
@@ -362,7 +368,7 @@ class TestStackedJacobi:
         rng = random.Random(40)
         graphs = [random_graph(rng, 5 if k % 4 == 1 else 40, 0.3) for k in range(28)]
         reports = harmonic_energies(graphs)
-        chunk = spectrum_mod.STACK_ENTRIES // (40 * 40)
+        chunk = spectrum_mod.BATCH_ENTRIES // (40 * 40)
         assert calls == [[5] * 7 + [40] * (chunk - 7), [40] * (28 - chunk)]
         for g, report in zip(graphs, reports):
             eig, off, sweeps = round_robin_jacobi_eigenvalues(harmonic_float_matrix(g))
@@ -370,6 +376,41 @@ class TestStackedJacobi:
             assert np.array(report.spectrum.eigenvalues).tobytes() == eig.tobytes()
             assert (report.spectrum.off_norm, report.spectrum.sweeps) == (off, sweeps)
             assert report.he == float(sum(abs(x) for x in eig.tolist()))
+
+
+class TestOrderBatches:
+    """order_batches cuts orders sorted ascending into consecutive slices:
+    ``least`` items, then more while count * (largest order)^2 stays within
+    BATCH_ENTRIES = 16 * 40^2."""
+
+    def test_empty(self):
+        assert order_batches([]) == order_batches([], least=16) == []
+
+    def test_least_larger_than_the_list(self):
+        assert order_batches([3, 5], least=16) == [slice(0, 2)]
+
+    def test_matrix_alone_over_budget(self):
+        # 161^2 > BATCH_ENTRIES: every such matrix is a batch of its own,
+        # and an order-2 matrix before it does not join its batch.
+        assert 161 ** 2 > spectrum_mod.BATCH_ENTRIES
+        assert order_batches([2, 161, 161, 200]) == [slice(i, i + 1) for i in range(4)]
+
+    def test_exact_fit_included(self):
+        assert 16 * 40 ** 2 == spectrum_mod.BATCH_ENTRIES
+        assert order_batches([40] * 16) == [slice(0, 16)]
+        assert order_batches([40] * 17) == [slice(0, 16), slice(16, 17)]
+        assert order_batches([5] * 7 + [40] * 10) == [slice(0, 16), slice(16, 17)]
+
+    def test_least_honoured_above_order_40(self):
+        # 15 matrices of order 41 fit the budget and 16 do not.
+        assert order_batches([41] * 40) == [slice(0, 15), slice(15, 30), slice(30, 40)]
+        assert order_batches([41] * 40, least=16) == [slice(0, 16), slice(16, 32), slice(32, 40)]
+        assert order_batches([100] * 20, least=16) == [slice(0, 16), slice(16, 20)]
+
+    def test_budget_fills_from_least(self):
+        # The first 16 take the batch to 16 * 12^2; it grows to 177 items,
+        # the most whose padded entries at order 12 stay within budget.
+        assert order_batches([12] * 200, least=16) == [slice(0, 177), slice(177, 200)]
 
 
 class TestHarmonicEnergy:
