@@ -34,11 +34,12 @@ print("\nharmonic index of the 3-path:", harmonic_index(path(3)))
 assert harmonic_index(path(3)) == Fraction(4, 3)
 
 # Exact characteristic polynomial, expanded and factored. The factored
-# form takes its candidate rational roots from the numeric spectrum and
-# keeps only those that divide the polynomial exactly.
+# form finds every rational root from the polynomial alone: roots modulo
+# a small prime, lifted p-adically until a fraction can be rebuilt from
+# each, and kept only when they divide the polynomial exactly.
 p = graph_char_poly(triangle)
 print("\ncharpoly of the triangle:", poly_text(p))
-print("factored:", factored_display(p, harmonic_energy(triangle).spectrum))
+print("factored:", factored_display(p))
 
 # The friendship graph with two blades: apex degree 4, spoke weights 1/3.
 f2 = friendship(2)
@@ -46,10 +47,10 @@ print("\nfriendship graph with 2 blades:")
 print(matrix_text(harmonic_matrix(f2)))
 
 # Numeric spectrum from the Jacobi solver; the exact polynomial, factored
-# over the rational roots that the spectrum points to, accounts for it.
+# over its rational roots, accounts for it.
 spectrum = eigenvalues_symmetric(harmonic_matrix(f2))
 print("eigenvalues:", [round(x, 6) for x in spectrum.eigenvalues])
-print("factored charpoly:", factored_display(graph_char_poly(f2), spectrum))
+print("factored charpoly:", factored_display(graph_char_poly(f2)))
 
 # Harmonic energy: the absolute eigenvalue sum.
 energy = harmonic_energy(f2)

@@ -33,8 +33,13 @@ the result, or ArithmeticError is raised. See Cohen, "A Course in
 Computational Algebraic Number Theory", 2.2.4, and Dumas, Pernet and Wan,
 "Efficient computation of the characteristic polynomial", ISSAC 2005.
 
-Rational roots are numeric eigenvalues rounded to nearby fractions and kept
-only when exact synthetic division confirms them.
+Rational roots come from the polynomial's integer numerators alone, by the
+p-adic search of Loos ("Computing rational zeros of integral polynomials by
+p-adic expansion", SIAM J. Comput. 12, 1983): the roots modulo a small
+prime are lifted by Newton's iteration until a fraction can be rebuilt
+from each, and exact division confirms it. The search finds every
+rational root at any degree and coefficient size; _split_rational_roots
+gives the argument.
 """
 
 from __future__ import annotations
@@ -630,53 +635,105 @@ def graph_char_poly(g: Graph) -> RatPoly:
 # ---------------------------------------------------------------------------
 
 
-# Largest reduced denominator of a candidate root. Its capture radius
-# 1/(2Q^2) = 5e-11 exceeds the Jacobi error at n <= 64.
-ROOT_DENOMINATOR_MAX = 10**5
+def rational_roots(p: RatPoly) -> list[tuple[Fraction, int]]:
+    """Rational roots of p with multiplicities, in descending order. None
+    is missed, whatever p's degree and coefficients."""
+    return _split_rational_roots(p)[0]
 
 
-def rational_roots(p: RatPoly, approx: Iterable[float]) -> list[tuple[Fraction, int]]:
-    """Rational roots of p with multiplicities, in descending order, read off
-    ``approx``: numeric approximations of p's real roots, such as the
-    matrix's ``Spectrum`` for a characteristic polynomial.
+def _split_rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPoly]:
+    """``rational_roots(p)`` and the cofactor of p that remains after
+    dividing them out; the cofactor's denominator stays p's.
 
-    Each approximation is rounded to the nearest fraction with denominator
-    at most ROOT_DENOMINATOR_MAX, and each distinct candidate is deflated
-    exactly for as long as it stays a root. For a rational symmetric matrix
-    M nothing is missed when the lcm s of M's entry denominators is at most
-    ROOT_DENOMINATOR_MAX, as for every family, census and audit graph: by
-    Weyl each Jacobi eigenvalue is within about 1e-11 of a true one at
-    n <= 64, whatever its multiplicity; every rational eigenvalue of M is
-    k/s, because it is an integer eigenvalue of s*M; and
-    ``limit_denominator(Q)`` returns any fraction of reduced denominator at
-    most Q that lies within 1/(2Q^2). A root beyond the bound stays in the
-    unfactored cofactor.
+    The search runs on p's integer numerators f, zero roots stripped. A
+    root a/b of f in lowest terms has a | f_0 and b | f_n, so |a| and b are
+    at most H = max(|f_0|, |f_n|). Once q^k > 2 H^2, a/b is the only
+    fraction of denominator at most H within H/(b q^k) of x/q^k, for its
+    residue x modulo q^k, so limit_denominator(H) rebuilds it from x. The
+    prime q is the first above deg f that divides neither f_0 nor f_n, so
+    b is a unit modulo q and every root lies in the class of a root r of f
+    modulo q, found by evaluating f at every residue. Let mu be the least
+    j >= 1 with T_j(r) != 0 mod q, where T_j = f^(j)/j! is an integer
+    polynomial; the roots in r's class number at most mu with multiplicity.
+    As q > mu, r is a simple root of T_{mu-1} modulo q, whose derivative
+    is mu T_mu, and Newton's iteration lifts it to x modulo q^k. The
+    fraction rebuilt from x is the candidate; exact division by it,
+    repeated while it divides, confirms it. If it divides out mu times, the
+    class is done. Otherwise x is lifted on to modulo q^(mu k), and if
+    every T_j with j < mu vanishes there, the class holds no other root:
+    for a root y = x + d in it, 0 = f(y) = sum_j T_j(x) d^j, where the term
+    j = mu has q-adic valuation mu v(d) and every other term a larger one
+    unless v(d) >= k, so y is congruent to x modulo q^k and is the
+    candidate. If some T_j does not vanish, the search runs again on the
+    cofactor with the next such prime. Only the finitely many primes at
+    which two distinct roots of f meet can leave a class unresolved, so the
+    search ends.
     """
-    return _split_rational_roots(p, approx)[0]
-
-
-def _split_rational_roots(
-    p: RatPoly, approx: Iterable[float]
-) -> tuple[list[tuple[Fraction, int]], RatPoly]:
-    """``rational_roots(p, approx)`` and the cofactor of p that remains
-    after dividing them out. Each division of p's integer numerators by a
-    candidate both confirms it and, when it is a root, yields the quotient
-    that is kept; the cofactor's denominator stays p's."""
-    roots = []
-    ints = p.numerators
-    scale = 1
-    for cand in {Fraction(e).limit_denominator(ROOT_DENOMINATOR_MAX) for e in approx}:
-        mult = 0
-        while len(ints) > 1:
-            try:
-                ints = _deflate_ints(ints, cand)
-            except ArithmeticError:
-                break
-            mult += 1
-        if mult:
-            roots.append((cand, mult))
-            scale *= cand.denominator ** mult
+    zeros = next((i for i, c in enumerate(p.numerators) if c), 0)
+    roots = [(Fraction(0), zeros)] if zeros else []
+    ints = p.numerators[zeros:]
+    scale, q, resolved = 1, len(ints) - 1, False
+    while len(ints) > 1 and not resolved:
+        f = ints
+        q = next(m for m in itertools.count(q + 1) if f[0] % m and f[-1] % m and _is_prime(m))
+        h = max(abs(f[0]), abs(f[-1]))
+        bound = 2 * h * h
+        k, modulus = 1, q
+        while modulus <= bound:
+            k, modulus = k + 1, modulus * q
+        residues = np.arange(q, dtype=np.int64)
+        values = np.zeros(q, dtype=np.int64)
+        for c in reversed(f):
+            values = (values * residues + c % q) % q
+        resolved = True
+        for r in np.flatnonzero(values == 0).tolist():
+            mu = next(j for j in itertools.count(1) if _horner(_taylor(f, j), r, q))
+            g, dg = _taylor(f, mu - 1), [mu * c for c in _taylor(f, mu)]
+            x = _lift(g, dg, r, q, 1, k)
+            b = Fraction(x, modulus).limit_denominator(h).denominator
+            a = b * x % modulus
+            cand = Fraction(a - modulus if 2 * a > modulus else a, b)
+            mult = 0
+            while len(ints) > 1:
+                try:
+                    ints = _deflate_ints(ints, cand)
+                except ArithmeticError:
+                    break
+                mult += 1
+            if mult:
+                roots.append((cand, mult))
+                scale *= cand.denominator ** mult
+            if mult < mu:
+                # T_{mu-1}(x) vanishes by construction.
+                x, m = _lift(g, dg, x, q, k, mu * k), modulus**mu
+                resolved &= not any(_horner(_taylor(f, j), x, m) for j in range(mu - 1))
     return sorted(roots, reverse=True), _polynomial([c * scale for c in ints], p.denominator)
+
+
+def _taylor(f: Sequence[int], j: int) -> list[int]:
+    """The integer polynomial T_j = f^(j)/j!, ascending."""
+    return [math.comb(i, j) * c for i, c in enumerate(f[j:], j)]
+
+
+def _horner(f: Sequence[int], x: int, m: int) -> int:
+    """f(x) modulo m."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _lift(g: Sequence[int], dg: Sequence[int], x: int, q: int, e: int, k: int) -> int:
+    """Newton's iteration from a root x of g modulo q^e, at which g's
+    derivative dg is a unit, to the root of g modulo q^k congruent to it.
+    Each step doubles the precision; as g(x) vanishes modulo the old
+    precision, dg(x) is inverted only to that."""
+    while e < k:
+        old = q**e
+        e = min(2 * e, k)
+        m = q**e
+        x = (x - _horner(g, x, m) * pow(_horner(dg, x, old), -1, old)) % m
+    return x
 
 
 def _deflate_ints(ints: Sequence[int], root: Fraction) -> list[int]:
@@ -720,15 +777,14 @@ def poly_text(p: RatPoly) -> str:
     return " ".join(parts)
 
 
-def factored_display(p: RatPoly, approx: Iterable[float]) -> str:
-    """Product of (λ - r)^m factors over the rational roots that
-    ``rational_roots(p, approx)`` finds, times the remaining factor printed
-    expanded. The display is an exact identity for any ``approx``."""
+def factored_display(p: RatPoly) -> str:
+    """Product of (λ - r)^m factors over the rational roots of p, times the
+    remaining factor, which has no rational root, printed expanded."""
     if p.is_zero:
         return "0"
     if p.degree == 0:
         return str(p.coeffs[0])
-    roots, q = _split_rational_roots(p, approx)
+    roots, q = _split_rational_roots(p)
     parts = []
     for root, mult in roots:
         if root == 0:

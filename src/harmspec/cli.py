@@ -169,11 +169,9 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    graphs = _family_graphs(args)
     blocks, payloads = [], []
-    reports = harmonic_energies(graphs)
-    for p, report in zip(graph_char_polys(graphs), reports):
-        factored = factored_display(p, report.spectrum)
+    for p in graph_char_polys(_family_graphs(args)):
+        factored = factored_display(p)
         blocks.append(f"{poly_text(p)}\n  = {factored}")
         payload = poly_json(p)
         payload["factored"] = factored

@@ -65,12 +65,6 @@ class Spectrum:
     off_norm: float
     sweeps: int
 
-    def __len__(self):
-        return len(self.eigenvalues)
-
-    def __iter__(self):
-        return iter(self.eigenvalues)
-
 
 @dataclass(frozen=True)
 class EnergyReport:
@@ -84,14 +78,15 @@ class EnergyReport:
 
 def _norm(block: np.ndarray, off: bool = False) -> float:
     # The Frobenius norm of one n x n block (of its off-diagonal part when
-    # off), by the dot product np.linalg.norm takes on the contiguous
-    # matrix, so a matrix gets the same bits at any padding in any stack.
-    # A zeroed diagonal holds the entries of a - diag(a) up to the sign of
-    # zero, which squaring drops.
+    # off), by numpy's pairwise sum over the contiguous row-major entries,
+    # so a matrix gets the same bits at any padding in any stack. A BLAS
+    # dot product, as np.linalg.norm takes, sums in an order that depends
+    # on the CPU kernel. A zeroed diagonal holds the entries of a - diag(a)
+    # up to the sign of zero, which squaring drops.
     x = block.flatten()
     if off:
         x[:: len(block) + 1] = 0.0
-    return math.sqrt(x.dot(x))
+    return math.sqrt(np.add.reduce(x * x))
 
 
 def order_batches(orders: Sequence[int], least: int = 1) -> list[slice]:

@@ -431,6 +431,17 @@ def global_scale_modulus_count(matrix) -> int:
     return count
 
 
+def fixed_order_norm(m) -> float:
+    """Frobenius norm of a float matrix by numpy's pairwise sum over its
+    row-major entries, which sums in one order on every CPU; the BLAS dot
+    product behind np.linalg.norm sums in an order that depends on the CPU
+    kernel."""
+    import numpy as np
+
+    x = np.ravel(m)
+    return math.sqrt(np.add.reduce(x * x))
+
+
 def cyclic_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100):
     """Reference eigensolver: cyclic Jacobi with one rotation per (p, q) in
     row-major order, each copying and rewriting two full rows and columns.
@@ -441,13 +452,13 @@ def cyclic_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100):
     from harmspec.spectrum import JacobiConvergenceError
 
     def off_norm(m):
-        return float(np.linalg.norm(m - np.diag(np.diag(m))))
+        return fixed_order_norm(m - np.diag(np.diag(m)))
 
     a = np.array(a, dtype=float)
     n = a.shape[0]
     if n == 0:
         return np.array([]), 0.0, 0
-    threshold = tol * float(np.linalg.norm(a))
+    threshold = tol * fixed_order_norm(a)
     sweeps = 0
     off = off_norm(a)
     while off > threshold:
@@ -522,7 +533,7 @@ def round_robin_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100)
     from harmspec.spectrum import JacobiConvergenceError
 
     def off_norm(m):
-        return float(np.linalg.norm(m - np.diag(np.diag(m))))
+        return fixed_order_norm(m - np.diag(np.diag(m)))
 
     a = np.array(a, dtype=float)
     n = a.shape[0]
@@ -530,7 +541,7 @@ def round_robin_jacobi_eigenvalues(a, tol: float = 1e-12, max_sweeps: int = 100)
         return np.array([]), 0.0, 0
     diag = a.diagonal()
     rounds = [(np.array(p, dtype=np.intp), np.array(q, dtype=np.intp)) for p, q in ring_schedule(n)]
-    threshold = tol * float(np.linalg.norm(a))
+    threshold = tol * fixed_order_norm(a)
     sweeps = 0
     off = off_norm(a)
     while off > threshold:

@@ -46,7 +46,7 @@ from harmspec.families import (
 )
 from harmspec.graphs import decode_graph6, disjoint_union
 from harmspec.harmonic import harmonic_matrix
-from harmspec.spectrum import BATCH_ENTRIES, eigenvalues_symmetric
+from harmspec.spectrum import BATCH_ENTRIES
 
 from conftest import (
     FractionPoly,
@@ -353,25 +353,24 @@ def test_disjoint_union_charpoly_product(a, b):
 class TestDisplay:
     def test_factored_triangle(self):
         p = RatPoly((Fraction(-1, 4), Fraction(-3, 4), 0, 1))
-        assert factored_display(p, [1.0, -0.5, -0.5]) == "(λ - 1)(λ + 1/2)^2"
+        assert factored_display(p) == "(λ - 1)(λ + 1/2)^2"
 
     def test_no_rational_roots(self):
-        assert factored_display(X * X - 2, [math.sqrt(2), -math.sqrt(2)]) == "λ^2 - 2"
+        assert factored_display(X * X - 2) == "λ^2 - 2"
 
     def test_pure_power(self):
-        assert factored_display(RatPoly.monomial(5), [0.0] * 5) == "λ^5"
+        assert factored_display(RatPoly.monomial(5)) == "λ^5"
 
     def test_mixed(self):
         p = RatPoly.monomial(2) * (X * X - Fraction(3, 4))
-        r = math.sqrt(3) / 2
-        assert factored_display(p, [r, 0.0, 0.0, -r]) == "λ^2(λ^2 - 3/4)"
+        assert factored_display(p) == "λ^2(λ^2 - 3/4)"
 
     def test_non_monic_constant_factor(self):
-        assert factored_display(2 * (X - 1) * (X + 1), [1.0, -1.0]) == "2(λ - 1)(λ + 1)"
+        assert factored_display(2 * (X - 1) * (X + 1)) == "2(λ - 1)(λ + 1)"
 
     def test_rational_roots_multiplicities(self):
         p = (X - 1) * (X + HALF) ** 2
-        assert rational_roots(p, [1.0, -0.5, -0.5]) == [(Fraction(1), 1), (Fraction(-1, 2), 2)]
+        assert rational_roots(p) == [(Fraction(1), 1), (Fraction(-1, 2), 2)]
 
     def test_deflate_by_non_root_raises(self):
         # x^2 - 1 leaves remainder 3 at x = 2; this must survive python -O.
@@ -399,9 +398,14 @@ class TestDisplay:
             assert RatPoly(quotient) * Fraction(root.denominator, p.denominator) == q
 
     def test_high_multiplicity_roots_found(self):
-        p = closed_form_complete(12)
-        spectrum = eigenvalues_symmetric(harmonic_matrix(complete(12)))
-        assert rational_roots(p, spectrum) == [(Fraction(1), 1), (Fraction(-1, 11), 11)]
+        # One class modulo the prime holds every copy of a repeated root.
+        for g, roots in [
+            (complete(12), [(Fraction(1), 1), (Fraction(-1, 11), 11)]),
+            (star(12), [(Fraction(0), 10)]),
+            (friendship(6), [(HALF, 5), (-HALF, 6)]),
+            (complete(40), [(Fraction(1), 1), (Fraction(-1, 39), 39)]),
+        ]:
+            assert rational_roots(graph_char_poly(g)) == roots
 
     def test_poly_text(self):
         p = RatPoly((Fraction(16, 81), 0, Fraction(-41, 36), 0, 1))
@@ -433,10 +437,6 @@ def _sympy_rational_roots(p: RatPoly) -> list[tuple[Fraction, int]]:
     return sorted(roots, reverse=True)
 
 
-def _spectrum(g):
-    return eigenvalues_symmetric(harmonic_matrix(g))
-
-
 # Symmetric 2x2 blocks [[a, b], [b, -a]] with characteristic polynomial
 # x^2 - k, k = a^2 + b^2 not a square: an irreducible quadratic factor.
 _IRRATIONAL_BLOCKS = {2: (1, 1), 5: (1, 2), 10: (1, 3), 13: (2, 3)}
@@ -445,13 +445,14 @@ _IRRATIONAL_BLOCKS = {2: (1, 1), 5: (1, 2), 10: (1, 3), 13: (2, 3)}
 @st.composite
 def planted_matrix(draw):
     """A rational symmetric matrix H D H with the drawn eigenvalues, where
-    D is diagonal in the planted roots a/b (b <= 60, |a/b| <= 1, with
-    multiplicities) plus one irreducible 2x2 block, and H = I - 2vv^T/v^Tv
-    is a rational Householder reflection. Returns the matrix, the planted
-    roots and k."""
+    D is diagonal in the planted roots a/b (b <= 60 or 10^5 <= b <= 10^7,
+    |a/b| <= 1, with multiplicities) plus one irreducible 2x2 block, and
+    H = I - 2vv^T/v^Tv is a rational Householder reflection. Returns the
+    matrix, the planted roots and k."""
     planted: Counter = Counter()
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        b = draw(st.integers(min_value=1, max_value=60))
+        b = draw(st.one_of(st.integers(min_value=1, max_value=60),
+                           st.integers(min_value=10**5, max_value=10**7)))
         a = draw(st.integers(min_value=-b, max_value=b))
         planted[Fraction(a, b)] += draw(st.integers(min_value=1, max_value=3))
     k = draw(st.sampled_from(sorted(_IRRATIONAL_BLOCKS)))
@@ -477,26 +478,40 @@ class TestRationalRoots:
         # Both roots are primes above 1e5, where a capped divisor search
         # takes the composite cofactor of the constant term as prime.
         p = (X - 100003) * (X - 100019)
-        assert rational_roots(p, [100019.0, 100003.0]) == [
+        assert rational_roots(p) == [
             (Fraction(100019), 1), (Fraction(100003), 1)]
 
     def test_denominator_at_documented_bound(self):
         q = 10**5
         p = (X - Fraction(1, q)) * (X + Fraction(q - 1, q))
-        assert rational_roots(p, [1 / q, (1 - q) / q]) == [
+        assert rational_roots(p) == [
             (Fraction(1, q), 1), (Fraction(1 - q, q), 1)]
 
-    def test_approximations_far_from_roots_find_nothing(self):
-        p = (X - 1) * (X + HALF)
-        assert rational_roots(p, [0.9, -0.4]) == []
-        assert factored_display(p, []) == poly_text(p)
+    @pytest.mark.parametrize("p, roots", [
+        # A denominator above 10^5, which no rounding of a float spectrum
+        # to denominators of at most 10^5 can find.
+        ((X - Fraction(1, 100019)) * (X - 2), [(Fraction(2), 1), (Fraction(1, 100019), 1)]),
+        # 1 and 4 meet modulo 3, the first prime tried; 5 parts them.
+        ((X - 1) * (X - 4), [(Fraction(4), 1), (Fraction(1), 1)]),
+        # A root modulo every prime, each of multiplicity 2 and none rational.
+        (((X * X - 2) * (X * X - 3) * (X * X - 6)) ** 2, []),
+        (((X * X - 2) * (X * X - 3) * (X * X - 6) * (X - Fraction(1, 3))) ** 2,
+         [(Fraction(1, 3), 2)]),
+    ], ids=["denominator-100019", "roots-meet-mod-3", "square-of-irrationals",
+            "square-with-one-third"])
+    def test_every_root_found(self, p, roots):
+        assert rational_roots(p) == roots
+        product = RatPoly.one()
+        for root, mult in roots:
+            product = product * (X - root) ** mult
+        assert product * charpoly._split_rational_roots(p)[1] == p
 
     @given(planted_matrix())
     @settings(max_examples=40, deadline=None)
     def test_planted_roots_found(self, case):
         m, planted, k = case
         p = char_poly(m)
-        roots = rational_roots(p, eigenvalues_symmetric(m))
+        roots = rational_roots(p)
         assert roots == sorted(planted.items(), reverse=True)
         product = X * X - k
         for root, mult in roots:
@@ -506,27 +521,27 @@ class TestRationalRoots:
     def test_matches_sympy_on_audit_graphs(self):
         for g in audit_exact_polynomial_graphs():
             p = graph_char_poly(g)
-            assert rational_roots(p, _spectrum(g)) == _sympy_rational_roots(p)
+            assert rational_roots(p) == _sympy_rational_roots(p)
 
     def test_matches_sympy_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.5, 0.8)))
             p = graph_char_poly(g)
-            assert rational_roots(p, _spectrum(g)) == _sympy_rational_roots(p)
+            assert rational_roots(p) == _sympy_rational_roots(p)
 
 
 class TestDivisorReference:
     """The display is byte-identical to the one built on the divisor
-    search that the spectrum replaced, on the graphs whose polynomials the
-    audit and the census produce."""
+    search kept in conftest, on the graphs whose polynomials the audit and
+    the census produce."""
 
     @staticmethod
     def _assert_same_display(graphs, monkeypatch):
-        polys = [(graph_char_poly(g), _spectrum(g)) for g in graphs]
-        got = [factored_display(p, s) for p, s in polys]
+        polys = [graph_char_poly(g) for g in graphs]
+        got = [factored_display(p) for p in polys]
 
-        def divisor_split(p, approx):
+        def divisor_split(p):
             roots = divisor_rational_roots(p)
             for root, mult in roots:
                 for _ in range(mult):
@@ -534,7 +549,7 @@ class TestDivisorReference:
             return roots, p
 
         monkeypatch.setattr(charpoly, "_split_rational_roots", divisor_split)
-        assert got == [factored_display(p, s) for p, s in polys]
+        assert got == [factored_display(p) for p in polys]
 
     def test_audit_graphs(self, monkeypatch):
         self._assert_same_display(audit_exact_polynomial_graphs(), monkeypatch)

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from importlib import resources
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from harmspec import spectrum
 from harmspec.cli import build_parser, main
 from harmspec.graphs import decode_graph6, encode_graph6
 from harmspec.harmonic import harmonic_matrix
@@ -116,13 +119,25 @@ class TestCharpoly:
 
     @pytest.mark.parametrize("fmt, suffix", [("json", "json"), ("text", "txt")])
     def test_mixed_orders_golden(self, capsys, fmt, suffix):
-        # Orders 0 to 40 interleaved; the expected outputs come from solving
-        # each spectrum alone from the exact matrix.
+        # Orders 0 to 40 interleaved, their polynomials taken as one batch.
         code, out, err = run(
             capsys, "charpoly", "--from-file", str(DATA / "energy_mixed.g6"), "--format", fmt
         )
         assert (code, err) == (0, "")
         assert out == (DATA / f"charpoly_mixed.{suffix}").read_text()
+
+    def test_no_float_eigensolver(self, capsys, monkeypatch):
+        # The factored display takes its rational roots from the exact
+        # polynomial alone; energy shows that the spy sees solver calls.
+        calls = []
+        solve = spectrum.jacobi_eigenvalues_stack
+        monkeypatch.setattr(spectrum, "jacobi_eigenvalues_stack",
+                            lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+        code, out, err = run(capsys, "charpoly", "--from-file", str(DATA / "energy_mixed.g6"))
+        assert (code, err, calls) == (0, "", [])
+        assert out == (DATA / "charpoly_mixed.txt").read_text()
+        assert run(capsys, "energy", "--from-file", str(DATA / "energy_mixed.g6"))[0] == 0
+        assert calls
 
 
 class TestEnergy:
@@ -284,6 +299,46 @@ class TestCensus:
         assert run(capsys, "census", "--from-file", str(path))[0] == 0
 
 
+class TestBlasKernels:
+    # OpenBLAS kernels, by OPENBLAS_CORETYPE name, and the CPU feature each
+    # needs: those of AVX2-only and AVX-only CPUs among them.
+    KERNELS = (("Prescott", "SSE3"), ("Sandybridge", "AVX"), ("Haswell", "AVX2"),
+               ("SkylakeX", "AVX512_SKX"))
+    COMMANDS = (
+        ("energy", "--from-file", str(DATA / "energy_mixed.g6"), "--format", "json"),
+        ("charpoly", "--from-file", str(DATA / "energy_mixed.g6"), "--format", "json"),
+        ("census", "--from-file", str(DATA / "census_12_3.g6"), "--format", "json", "--quiet"),
+    )
+
+    def test_same_bytes_under_every_kernel(self):
+        # No printed float may depend on the summation order of the BLAS
+        # kernel that OpenBLAS picks for the CPU: each forced kernel this
+        # CPU can run must print what the default one prints.
+        import numpy as np
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" not in blas:
+            pytest.skip(f"numpy is backed by {blas}, not OpenBLAS: no kernel to force")
+        kernels = [name for name, feature in self.KERNELS if __cpu_features__.get(feature)]
+        if not kernels:
+            pytest.skip("this CPU runs none of the forced OpenBLAS kernels")
+        script = ("from harmspec.cli import main\n"
+                  f"for argv in {self.COMMANDS!r}:\n    main(list(argv))\n")
+        outputs = {}
+        for kernel in [None, *kernels]:
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+            env["PYTHONPATH"] = str(DATA.parents[1] / "src")
+            if kernel:
+                env["OPENBLAS_CORETYPE"] = kernel
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, (kernel, result.stderr)
+            outputs[kernel] = result.stdout
+        assert outputs[None].count('"off_norm"') == 21
+        assert all(out == outputs[None] for out in outputs.values())
+
+
 class TestAudit:
     def test_restricted_run_json(self, capsys, tmp_path):
         baseline = tmp_path / "b.json"
@@ -433,10 +488,8 @@ class TestErrors:
         assert out == ""
         assert err.startswith("harmspec: error: tolerance must be finite and positive")
 
-    @pytest.mark.parametrize("command", ["energy", "charpoly", "census"])
+    @pytest.mark.parametrize("command", ["energy", "census"])
     def test_jacobi_non_convergence(self, capsys, monkeypatch, tmp_path, command):
-        from harmspec import spectrum
-
         def stuck(*args, **kwargs):
             raise spectrum.JacobiConvergenceError(0.5, spectrum.MAX_SWEEPS)
 

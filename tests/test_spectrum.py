@@ -121,17 +121,6 @@ class TestRoundRobin:
         a = (a + a.T) / 2
         assert _eigvalsh_error(a) < 1e-13 * max(1.0, np.linalg.norm(a))
 
-    def test_error_within_root_capture_radius_at_64(self):
-        # factored_display finds a rational root when the Jacobi eigenvalue
-        # lies within 1/(2 Q^2) = 5e-11 of it (ROOT_DENOMINATOR_MAX = Q).
-        rng = random.Random(64)
-        worst = max(
-            _eigvalsh_error(harmonic_float_matrix(random_graph(rng, 64, p)))
-            for p in (0.05, 0.15, 0.5, 0.9)
-            for _ in range(2)
-        )
-        assert worst < 1e-13
-
     def test_bit_identical_repeats(self):
         rng = np.random.default_rng(5)
         a = rng.uniform(-1, 1, (33, 33))
