@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .graphs import Graph, _bits, complement, components, decode_graph6, encode_graph6
-from .spectrum import harmonic_energies
+from .spectrum import Spectrum, error_bounds, harmonic_energies
 
 MAX_CENSUS_N = 12
 
@@ -36,9 +36,6 @@ REFERENCE_CUBIC10_HE: tuple[float, ...] = (
     4.931, 4.666, 5.333, 4.518, 5.193, 4.666, 3.999,
 )
 
-CLASS_TOL = 1e-6        # absolute gap below which two HE values share a class
-EIG_MATCH_TOL = 1e-8    # eigenvalue matching tolerance for multiset diffs
-
 
 @dataclass(frozen=True)
 class CensusRecord:
@@ -46,7 +43,7 @@ class CensusRecord:
     graph6: str
     connected: bool
     he: float
-    spectrum: tuple[float, ...]
+    spectrum: Spectrum
 
 
 @dataclass(frozen=True)
@@ -358,7 +355,7 @@ def census_from_graphs(graphs: Sequence[Graph]) -> tuple[list[CensusRecord], lis
             graph6=report.graph6,
             connected=len(components(g)) <= 1,
             he=report.he,
-            spectrum=report.spectrum.eigenvalues,
+            spectrum=report.spectrum,
         )
         for idx, (g, report) in enumerate(zip(graphs, harmonic_energies(graphs)), start=1)
     ]
@@ -366,40 +363,48 @@ def census_from_graphs(graphs: Sequence[Graph]) -> tuple[list[CensusRecord], lis
 
 
 def energy_classes(records: Sequence[CensusRecord]) -> list[EnergyClass]:
-    """Group records into classes of equal harmonic energy (tolerance
-    CLASS_TOL) and report eigenvalue multiset differences between the
-    members of a class that have the same order."""
-    by_he = sorted(records, key=lambda r: (r.he, r.index))
-    groups: list[list[CensusRecord]] = []
-    for rec in by_he:
-        if groups and abs(rec.he - groups[-1][-1].he) <= CLASS_TOL:
-            groups[-1].append(rec)
+    """Group records into classes of equal harmonic energy and report
+    eigenvalue multiset differences between the members of a class that
+    have the same order.
+
+    Sorted by energy, a record joins its lower neighbour's class when their
+    gap is at most the sum of their energy bounds E, and two members'
+    eigenvalues match within the sum of their eigenvalue bounds e; both
+    bounds come from spectrum.error_bounds. A tie is as good as the
+    solver's bounds, not an exact certificate."""
+    ranked = sorted(records, key=lambda r: (r.he, r.index))
+    bounds = [error_bounds(r.spectrum) for r in ranked]
+    eigs = [r.spectrum.eigenvalues for r in ranked]
+    groups: list[list[int]] = []
+    for i, rec in enumerate(ranked):
+        if i and rec.he - ranked[i - 1].he <= bounds[i - 1][1] + bounds[i][1]:
+            groups[-1].append(i)
         else:
-            groups.append([rec])
+            groups.append([i])
     classes = []
     for group in groups:
-        members = tuple(sorted(r.index for r in group))
+        by_index = sorted(group, key=lambda i: ranked[i].index)
         diffs = [
-            (a.index, b.index, spectra_diff_count(a.spectrum, b.spectrum))
-            for a, b in combinations(sorted(group, key=lambda r: r.index), 2)
-            if len(a.spectrum) == len(b.spectrum)
+            (ranked[i].index, ranked[j].index,
+             spectra_diff_count(eigs[i], eigs[j], bounds[i][0] + bounds[j][0]))
+            for i, j in combinations(by_index, 2)
+            if len(eigs[i]) == len(eigs[j])
         ]
         classes.append(
             EnergyClass(
-                he=sum(r.he for r in group) / len(group),
-                members=members,
+                he=sum(ranked[i].he for i in group) / len(group),
+                members=tuple(ranked[i].index for i in by_index),
                 eigen_diffs=tuple(diffs),
             )
         )
     return classes
 
 
-def spectra_diff_count(
-    a: Sequence[float], b: Sequence[float], tol: float = EIG_MATCH_TOL
-) -> int:
+def spectra_diff_count(a: Sequence[float], b: Sequence[float], tol: float) -> int:
     """Number of differing eigenvalues between two equal-length spectra:
-    half the size of the multiset symmetric difference, matched with the
-    given tolerance."""
+    half the size of the multiset symmetric difference, where two
+    eigenvalues match when they differ by at most tol (in a census, the sum
+    of the two spectra's eigenvalue bounds)."""
     if len(a) != len(b):
         raise ValueError("spectra must have equal length")
     sa = sorted(a, reverse=True)
@@ -451,7 +456,8 @@ def compare_reference_table(
     Rule: computed value v matches reference entry p when
     -1e-9 <= v - p <= 0.001 + 1e-9, i.e. p is the 3-decimal truncation of v,
     with the boundary case (reference truncated a float sitting just below
-    a .001 boundary) allowed.
+    a .001 boundary) allowed. The 1e-9 slack models the table's truncation,
+    not the solver, so it is not an error bound of the spectra.
     """
     if len(records) != len(reference):
         raise ValueError(
@@ -499,7 +505,7 @@ def records_csv(records: Sequence[CensusRecord]) -> str:
                 r.graph6,
                 str(r.connected).lower(),
                 repr(r.he),
-                " ".join(repr(x) for x in r.spectrum),
+                " ".join(repr(x) for x in r.spectrum.eigenvalues),
             ]
         )
     return out.getvalue()
@@ -521,7 +527,7 @@ def census_json(
                 "graph6": r.graph6,
                 "connected": r.connected,
                 "he": r.he,
-                "spectrum": list(r.spectrum),
+                "spectrum": list(r.spectrum.eigenvalues),
             }
             for r in records
         ],

@@ -646,28 +646,30 @@ def _split_rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
     dividing them out; the cofactor's denominator stays p's.
 
     The search runs on p's integer numerators f, zero roots stripped. A
-    root a/b of f in lowest terms has a | f_0 and b | f_n, so |a| and b are
-    at most H = max(|f_0|, |f_n|). Once q^k > 2 H^2, a/b is the only
-    fraction of denominator at most H within H/(b q^k) of x/q^k, for its
-    residue x modulo q^k, so limit_denominator(H) rebuilds it from x. The
-    prime q is the first above deg f that divides neither f_0 nor f_n, so
-    b is a unit modulo q and every root lies in the class of a root r of f
-    modulo q, found by evaluating f at every residue. Let mu be the least
-    j >= 1 with T_j(r) != 0 mod q, where T_j = f^(j)/j! is an integer
-    polynomial; the roots in r's class number at most mu with multiplicity.
-    As q > mu, r is a simple root of T_{mu-1} modulo q, whose derivative
-    is mu T_mu, and Newton's iteration lifts it to x modulo q^k. The
-    fraction rebuilt from x is the candidate; exact division by it,
-    repeated while it divides, confirms it. If it divides out mu times, the
-    class is done. Otherwise x is lifted on to modulo q^(mu k), and if
-    every T_j with j < mu vanishes there, the class holds no other root:
-    for a root y = x + d in it, 0 = f(y) = sum_j T_j(x) d^j, where the term
-    j = mu has q-adic valuation mu v(d) and every other term a larger one
-    unless v(d) >= k, so y is congruent to x modulo q^k and is the
-    candidate. If some T_j does not vanish, the search runs again on the
-    cofactor with the next such prime. Only the finitely many primes at
-    which two distinct roots of f meet can leave a class unresolved, so the
-    search ends.
+    root a/b of f in lowest terms has a | f_0 and b | f_n, so |a| <= |f_0|
+    and b <= |f_n|. For its residue x modulo q^k, b x = a + t q^k, where
+    t/b is in lowest terms (a common factor would divide a) and lies within
+    |f_0|/(b q^k) of x/q^k, while any other fraction of denominator at most
+    |f_n| lies at least 1/(b |f_n|) from t/b. So once q^k > 2 |f_0| |f_n|,
+    limit_denominator(|f_n|) returns t/b for x/q^k, and b x reduced modulo
+    q^k into (-q^k/2, q^k/2] is a. The prime q is the first above deg f
+    that divides neither f_0 nor f_n, so b is a unit modulo q and every
+    root lies in the class of a root r of f modulo q, found by evaluating f
+    at every residue. Let mu be the least j >= 1 with T_j(r) != 0 mod q,
+    where T_j = f^(j)/j! is an integer polynomial; the roots in r's class
+    number at most mu with multiplicity. As q > mu, r is a simple root of
+    T_{mu-1} modulo q, whose derivative is mu T_mu, and Newton's iteration
+    lifts it to x modulo q^k. The fraction rebuilt from x is the candidate;
+    exact division by it, repeated while it divides, confirms it. If it
+    divides out mu times, the class is done. Otherwise x is lifted on to
+    modulo q^(mu k), and if every T_j with j < mu vanishes there, the class
+    holds no other root: for a root y = x + d in it, 0 = f(y) = sum_j
+    T_j(x) d^j, where the term j = mu has q-adic valuation mu v(d) and
+    every other term a larger one unless v(d) >= k, so y is congruent to x
+    modulo q^k and is the candidate. If some T_j does not vanish, the
+    search runs again on the cofactor with the next such prime. Only the
+    finitely many primes at which two distinct roots of f meet can leave a
+    class unresolved, so the search ends.
     """
     zeros = next((i for i, c in enumerate(p.numerators) if c), 0)
     roots = [(Fraction(0), zeros)] if zeros else []
@@ -676,8 +678,7 @@ def _split_rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
     while len(ints) > 1 and not resolved:
         f = ints
         q = next(m for m in itertools.count(q + 1) if f[0] % m and f[-1] % m and _is_prime(m))
-        h = max(abs(f[0]), abs(f[-1]))
-        bound = 2 * h * h
+        bound = 2 * abs(f[0] * f[-1])
         k, modulus = 1, q
         while modulus <= bound:
             k, modulus = k + 1, modulus * q
@@ -690,7 +691,7 @@ def _split_rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
             mu = next(j for j in itertools.count(1) if _horner(_taylor(f, j), r, q))
             g, dg = _taylor(f, mu - 1), [mu * c for c in _taylor(f, mu)]
             x = _lift(g, dg, r, q, 1, k)
-            b = Fraction(x, modulus).limit_denominator(h).denominator
+            b = Fraction(x, modulus).limit_denominator(abs(f[-1])).denominator
             a = b * x % modulus
             cand = Fraction(a - modulus if 2 * a > modulus else a, b)
             mult = 0

@@ -40,6 +40,7 @@ from .harmonic import harmonic_float_matrix
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
+UNIT_ROUNDOFF = 2.0**-53
 # The padded matrix entries of one batch under order_batches: 16 matrices
 # of order 40. Jacobi stacks larger than 16 at order 40 gain nothing.
 BATCH_ENTRIES = 16 * 40 * 40
@@ -74,6 +75,46 @@ class EnergyReport:
     he: float
     graph6: str
     spectrum: Spectrum
+
+
+def error_bounds(spectrum: Spectrum) -> tuple[float, float]:
+    """(e, E): how far each of the spectrum's eigenvalues, and the harmonic
+    energy HE summed from them, may lie from the exact ones of the matrix
+    A the solver was given. Two solver results agree when they differ by at
+    most the sum of their bounds. With u = 2^-53, n eigenvalues and
+    ||A||_F = sqrt(sum of lambda^2):
+
+      e = off_norm + 12 n sweeps u ||A||_F,
+      E = sqrt(n) e + n u HE.
+
+    A sweep is n - 1 or n rounds, each applied as two stages of disjoint
+    rotations (the column update, then the row update), so about 2n
+    stages. A stage applied with the computed (c, s) is an exact orthogonal
+    stage applied to its input perturbed by at most 6u times the input's
+    Frobenius norm (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., section 19.6), and orthogonal stages keep that norm; zeroing
+    the rotated entries is a perturbation of the same order. So the final
+    matrix D + F, with D its diagonal and ||F||_F = off_norm, is
+    orthogonally similar to A + Delta with ||Delta||_F <= 12 n sweeps u
+    ||A||_F, to first order in u.
+
+    By Weyl's inequality each sorted eigenvalue of A is within ||Delta||_2
+    of the same eigenvalue of A + Delta, which is within ||F||_2 of the
+    sorted diagonal: hence e. By the Hoffman-Wielandt inequality the same
+    two steps bound the 2-norm of the vector of all n errors by
+    ||Delta||_F + ||F||_F <= e, so the errors sum to at most sqrt(n) e. As
+    ||x| - |y|| <= |x - y|, that also bounds the error of the exact sum of
+    |eigenvalues|, and summing them in floats adds at most n u HE.
+
+    A harmonic matrix is rounded from rationals, by at most u ||A||_F,
+    which one sweep's share covers many times over; one that needs no sweep
+    is zero. The bounds are as good as the first-order rounding model: a
+    tie within them is not an exact certificate.
+    """
+    eig = spectrum.eigenvalues
+    n, u = len(eig), UNIT_ROUNDOFF
+    e = spectrum.off_norm + 12 * n * spectrum.sweeps * u * math.sqrt(math.fsum(x * x for x in eig))
+    return e, math.sqrt(n) * e + n * u * math.fsum(abs(x) for x in eig)
 
 
 def _norm(block: np.ndarray, off: bool = False) -> float:

@@ -656,6 +656,57 @@ def audit_exact_polynomial_graphs() -> list[Graph]:
     return list(graphs.values())
 
 
+def audit_spectrum_graphs() -> list[Graph]:
+    """Every graph whose harmonic energy the audit takes, over every grid
+    point of every claim, without repeats."""
+    from harmspec import audit
+    from harmspec.graphs import encode_graph6
+
+    graphs = {}
+    for claim in audit.CLAIMS.values():
+        for point in claim.grid:
+            for g in claim.check(**dict(point)).spectra:
+                graphs[encode_graph6(g)] = g
+    return list(graphs.values())
+
+
+def mp_eigenvalues(g: Graph, dps: int) -> list:
+    """The eigenvalues of g's harmonic matrix, non-increasing, as mpmath
+    numbers of ``dps`` digits: mpmath's symmetric eigensolver on the exact
+    rational entries at that precision."""
+    import mpmath
+
+    from harmspec.harmonic import harmonic_matrix
+
+    if g.n == 0:
+        return []
+    with mpmath.workdps(dps):
+        a = mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator for x in row]
+                           for row in harmonic_matrix(g)])
+        return sorted(mpmath.eigsy(a, eigvals_only=True), reverse=True)
+
+
+def mp_harmonic_energy(g: Graph, dps: int):
+    """g's harmonic energy as an mpmath number of ``dps`` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return mpmath.fsum(abs(y) for y in mp_eigenvalues(g, dps))
+
+
+def mp_spectrum_errors(g: Graph, eigenvalues, he: float, dps: int = 30) -> tuple[float, float]:
+    """The largest error of float eigenvalues of g's harmonic matrix, sorted
+    non-increasing, and the error of its float harmonic energy, against
+    mp_eigenvalues at ``dps`` digits."""
+    import mpmath
+
+    exact = mp_eigenvalues(g, dps)
+    with mpmath.workdps(dps):
+        eig_error = max((abs(mpmath.mpf(x) - y) for x, y in zip(eigenvalues, exact)), default=0)
+        he_error = abs(mpmath.mpf(he) - mpmath.fsum(abs(y) for y in exact))
+        return float(eig_error), float(he_error)
+
+
 @pytest.fixture(scope="session")
 def cubic10():
     from harmspec.census import cached_census

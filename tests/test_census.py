@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from harmspec.census import (
     REFERENCE_CUBIC10_HE,
+    CensusRecord,
     _labeled_regular,
     _refine,
     canonical_form,
     census,
     census_from_graphs,
     compare_reference_table,
+    energy_classes,
     enumerate_regular,
     records_csv,
     spectra_diff_count,
@@ -33,8 +35,10 @@ from harmspec.graphs import (
     degrees,
     disjoint_union,
     encode_graph6,
+    read_graph6_file,
     relabel,
 )
+from harmspec.spectrum import Spectrum, error_bounds
 
 from conftest import (
     brute_force_regular_classes,
@@ -42,6 +46,7 @@ from conftest import (
     exhaustive_canonical_form,
     fresh_first_labeled_regular,
     graph_strategy,
+    mp_harmonic_energy,
     random_graph,
     refine_colors,
     seed_colors,
@@ -49,6 +54,7 @@ from conftest import (
 )
 
 GOLDEN_CUBIC12 = Path(__file__).parent / "data" / "census_12_3.g6"
+CLOSE_ENERGIES = Path(__file__).parent / "data" / "census_close_energies.g6"
 
 
 class TestEnumerate:
@@ -365,6 +371,15 @@ class TestCensus12:
         assert time.perf_counter() - start < 120.0
         assert len(graphs) == 1547
         assert sum(1 for g in graphs if len(components(g)) > 1) == 3
+        # Six pairs of distinct energies 1.35e-7 to 9.66e-7 apart stand
+        # alone, and no class chains members whose energies differ by
+        # more than the sum of their bounds.
+        records, classes = census_from_graphs(graphs)
+        assert len(classes) == 1344
+        for c in classes:
+            for i, j in combinations(c.members, 2):
+                a, b = records[i - 1], records[j - 1]
+                assert abs(a.he - b.he) <= error_bounds(a.spectrum)[1] + error_bounds(b.spectrum)[1]
 
 
 def _assert_distinct_regular_classes(graphs, d):
@@ -435,7 +450,7 @@ class TestCensus:
     def test_records_consistent(self):
         records, _ = census(8, 3)
         for r in records:
-            assert abs(sum(abs(x) for x in r.spectrum) - r.he) < 1e-12
+            assert abs(sum(abs(x) for x in r.spectrum.eigenvalues) - r.he) < 1e-12
             assert r.index >= 1
 
     def test_from_graphs_matches_enumeration(self):
@@ -490,22 +505,71 @@ class TestCubic10Structure:
         assert sum(1 for r in records if r.connected) == 19
 
 
+def _synthetic(index: int, he: float, off_norm: float) -> CensusRecord:
+    # A spectrum (he/2, -he/2) after 3 sweeps, whose bounds off_norm sets.
+    return CensusRecord(index, "A?", False, he, Spectrum((he / 2, -he / 2), off_norm, 3))
+
+
+class TestEnergyClasses:
+    @staticmethod
+    def _chain(scale: float) -> list[CensusRecord]:
+        """Records whose neighbouring energies differ by ``scale`` times the
+        sum of the two energy bounds, with bounds that differ per record."""
+        records = [_synthetic(1, 1.0, 1e-9)]
+        for index, off_norm in enumerate((3e-9, 1e-10, 2e-9, 5e-11), start=2):
+            last = records[-1]
+            step = error_bounds(last.spectrum)[1] + error_bounds(_synthetic(0, last.he, off_norm).spectrum)[1]
+            records.append(_synthetic(index, last.he + scale * step, off_norm))
+        return records
+
+    def test_chain_just_above_bounds_does_not_join(self):
+        # Every gap is under 1e-8, and each is 0.1% over the sum of its
+        # neighbours' bounds.
+        records = self._chain(1.001)
+        assert all(b.he - a.he < 1e-8 for a, b in zip(records, records[1:]))
+        assert [c.members for c in energy_classes(records)] == [(i,) for i in range(1, 6)]
+
+    def test_chain_within_bounds_joins(self):
+        classes = energy_classes(self._chain(0.999))
+        assert [c.members for c in classes] == [(1, 2, 3, 4, 5)]
+
+    def test_close_energies_file(self):
+        # Records 1-12 are the pairs 183/599, 414/901, 467/909, 628/1157,
+        # 299/722 and 351/853 of census(12,4), whose energies differ by
+        # 1.35e-7 to 9.66e-7; records 13-18 are 306, 324, 326, 1293, 1308
+        # and 1351 of census(12,7), where 306 and 1293 lie 4.97e-7 and
+        # 4.5e-9 from their neighbours. Only the ties of the 40-digit
+        # energies form classes.
+        graphs = read_graph6_file(str(CLOSE_ENERGIES))
+        he = [mp_harmonic_energy(g, 40) for g in graphs]
+        ties = [(i + 1, j + 1) for i, j in combinations(range(len(he)), 2) if abs(he[i] - he[j]) < 1e-30]
+        assert ties == [(14, 15), (17, 18)]
+        _, classes = census_from_graphs(graphs)
+        assert len(classes) == 16
+        assert sorted(c.members for c in classes if len(c.members) > 1) == ties
+
+
 class TestSpectraDiff:
     def test_identical(self):
-        assert spectra_diff_count([1.0, 0.5, -1.5], [1.0, 0.5, -1.5]) == 0
+        assert spectra_diff_count([1.0, 0.5, -1.5], [1.0, 0.5, -1.5], 0.0) == 0
 
     def test_three_different(self):
         a = [1.0, 0.5, 0.5, -2.0]
         b = [1.0, 0.4, 0.6, -2.1]
-        assert spectra_diff_count(a, b) == 3
+        assert spectra_diff_count(a, b, 1e-12) == 3
 
     def test_tolerance(self):
-        assert spectra_diff_count([1.0], [1.0 + 1e-10]) == 0
-        assert spectra_diff_count([1.0], [1.001]) == 1
+        # Two eigenvalues match when they differ by at most the tolerance
+        # given; there is no default.
+        assert spectra_diff_count([1.0], [1.0 + 2.0**-30], 2.0**-30) == 0
+        assert spectra_diff_count([1.0], [1.0 + 2.0**-30], 2.0**-31) == 1
+        assert spectra_diff_count([1.0], [1.001], 1e-8) == 1
+        with pytest.raises(TypeError):
+            spectra_diff_count([1.0], [1.0])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            spectra_diff_count([1.0], [1.0, 2.0])
+            spectra_diff_count([1.0], [1.0, 2.0], 0.0)
 
 
 class TestReferenceTable:

@@ -497,8 +497,11 @@ class TestRationalRoots:
         (((X * X - 2) * (X * X - 3) * (X * X - 6)) ** 2, []),
         (((X * X - 2) * (X * X - 3) * (X * X - 6) * (X - Fraction(1, 3))) ** 2,
          [(Fraction(1, 3), 2)]),
+        # |f_0| = 2 and |f_n| near 10^12: the rebuild needs q^k > 2 |f_0| |f_n|.
+        ((X - 2) * (X - Fraction(1, 10**12 + 39)),
+         [(Fraction(2), 1), (Fraction(1, 10**12 + 39), 1)]),
     ], ids=["denominator-100019", "roots-meet-mod-3", "square-of-irrationals",
-            "square-with-one-third"])
+            "square-with-one-third", "denominator-near-1e12"])
     def test_every_root_found(self, p, roots):
         assert rational_roots(p) == roots
         product = RatPoly.one()

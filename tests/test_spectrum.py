@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +17,21 @@ from harmspec.families import (
     petersen,
     star,
 )
-from harmspec.graphs import build_graph, disjoint_union, encode_graph6, relabel
+from harmspec.graphs import (
+    build_graph,
+    decode_graph6,
+    disjoint_union,
+    encode_graph6,
+    read_graph6_file,
+    relabel,
+)
 from harmspec.harmonic import harmonic_float_matrix, harmonic_matrix
 from harmspec.spectrum import (
+    UNIT_ROUNDOFF,
     JacobiConvergenceError,
     Spectrum,
     _round_robin,
+    error_bounds,
     eigenvalues_symmetric,
     harmonic_energies,
     harmonic_energy,
@@ -33,12 +43,16 @@ from harmspec.spectrum import (
 
 from conftest import (
     audit_exact_polynomial_graphs,
+    audit_spectrum_graphs,
     cyclic_jacobi_eigenvalues,
     graph_strategy,
+    mp_spectrum_errors,
     random_graph,
     ring_schedule,
     round_robin_jacobi_eigenvalues,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestEigensolver:
@@ -487,3 +501,27 @@ class TestSpectralProperties:
             assert he == 0.0
         else:
             assert he > 1e-6
+
+
+class TestErrorBounds:
+    def test_formula(self):
+        # ||A||_F = 5, HE = 7, n = 2, 3 sweeps.
+        e, energy = error_bounds(Spectrum((3.0, -4.0), 1e-13, 3))
+        assert e == pytest.approx(1e-13 + 12 * 2 * 3 * UNIT_ROUNDOFF * 5, rel=1e-15)
+        assert energy == pytest.approx(math.sqrt(2) * e + 2 * UNIT_ROUNDOFF * 7, rel=1e-15)
+        assert error_bounds(Spectrum((), 0.0, 0)) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("source, count", [
+        ("census-10-3", 21), ("census_12_3.g6", 94), ("audit", 77), ("energy_mixed.g6", 21)])
+    def test_within_bounds_of_30_digit_eigenvalues(self, source, count, cubic10):
+        if source == "census-10-3":
+            solved = [(decode_graph6(r.graph6), r.spectrum, r.he) for r in cubic10[0]]
+        else:
+            graphs = audit_spectrum_graphs() if source == "audit" else read_graph6_file(str(DATA / source))
+            solved = [(g, r.spectrum, r.he) for g, r in zip(graphs, harmonic_energies(graphs))]
+        assert len(solved) == count
+        for g, spec, he in solved:
+            e, energy = error_bounds(spec)
+            eig_error, he_error = mp_spectrum_errors(g, spec.eigenvalues, he)
+            assert eig_error <= e, encode_graph6(g)
+            assert he_error <= energy, encode_graph6(g)

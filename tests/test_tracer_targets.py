@@ -3,6 +3,7 @@ up must not disappear from the library. TARGETS is read from the source,
 so perfbench itself is not imported."""
 
 import ast
+import functools
 import importlib
 from pathlib import Path
 
@@ -36,3 +37,57 @@ def test_closed_forms_exist():
     assert any(
         name.startswith("closed_form") and callable(value) for name, value in vars(charpoly).items()
     )
+
+
+BENCH_SCRIPTS = [TRACING.with_name("run.py"), TRACING.with_name("probe.py")]
+
+
+def _harmspec_names(path: Path) -> list[str]:
+    """Each harmspec name the script imports, and each attribute it reads
+    from one, as dotted paths: ``harmspec.census.cached_census`` for
+    ``from harmspec.census import cached_census``, and
+    ``harmspec.cli.main`` for ``from harmspec import cli`` then ``cli.main``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "harmspec":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    reads = [
+        f"{bound[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound
+    ]
+    return sorted(set(bound.values()) | set(reads))
+
+
+def _resolve(dotted: str) -> object:
+    """The object a dotted harmspec path names: the longest importable
+    module prefix, then attributes. AttributeError if one is missing."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        return functools.reduce(getattr, parts[i:], obj)
+    raise ImportError(dotted)
+
+
+def test_every_benchmark_import_exists():
+    names = [name for path in BENCH_SCRIPTS for name in _harmspec_names(path)]
+    for expected in (
+        "harmspec.cli.main",
+        "harmspec.cli.build_parser",
+        "harmspec.census.cached_census.cache_clear",
+        "harmspec.audit.default_baseline",
+        "harmspec.graphs.read_graph6_file",
+    ):
+        assert expected in names
+    missing = []
+    for name in names:
+        try:
+            _resolve(name)
+        except AttributeError:
+            missing.append(name)
+    assert missing == []
