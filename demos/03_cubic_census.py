@@ -8,12 +8,10 @@ into equal-energy classes, and compare against the published reference
 values.
 """
 
-import sys
-
 from harmspec import census, compare_reference_table
 from harmspec.census import truncate3
 
-records, classes = census(10, 3, progress=lambda msg: print(msg, file=sys.stderr))
+records, classes = census(10, 3)
 
 print(f"{len(records)} isomorphism classes, "
       f"{sum(1 for r in records if r.connected)} connected\n")

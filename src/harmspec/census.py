@@ -21,7 +21,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graphs import Graph, _bits, complement, components, decode_graph6, encode_graph6
 from .spectrum import Spectrum, error_bounds, harmonic_energies
@@ -330,20 +330,10 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 # ---------------------------------------------------------------------------
 
 
-def census(
-    n: int,
-    d: int,
-    *,
-    progress: Callable[[str], None] | None = None,
-) -> tuple[list[CensusRecord], list[EnergyClass]]:
+def census(n: int, d: int) -> tuple[list[CensusRecord], list[EnergyClass]]:
     """Full census at (n, d): enumerate, solve every spectrum, and group
     the graphs into harmonic-energy classes."""
-    if progress:
-        progress(f"enumerating {d}-regular graphs on {n} vertices ...")
-    graphs = enumerate_regular(n, d)
-    if progress:
-        progress(f"{len(graphs)} isomorphism classes; solving spectra ...")
-    return census_from_graphs(graphs)
+    return census_from_graphs(enumerate_regular(n, d))
 
 
 def census_from_graphs(graphs: Sequence[Graph]) -> tuple[list[CensusRecord], list[EnergyClass]]:
@@ -447,11 +437,8 @@ class ReferenceComparison:
     total: int
 
 
-def compare_reference_table(
-    records: Sequence[CensusRecord],
-    reference: Sequence[float] = REFERENCE_CUBIC10_HE,
-) -> ReferenceComparison:
-    """Match the computed HE multiset against the reference multiset.
+def compare_reference_table(records: Sequence[CensusRecord]) -> ReferenceComparison:
+    """Match the computed HE multiset against REFERENCE_CUBIC10_HE.
 
     Rule: computed value v matches reference entry p when
     -1e-9 <= v - p <= 0.001 + 1e-9, i.e. p is the 3-decimal truncation of v,
@@ -459,12 +446,12 @@ def compare_reference_table(
     a .001 boundary) allowed. The 1e-9 slack models the table's truncation,
     not the solver, so it is not an error bound of the spectra.
     """
-    if len(records) != len(reference):
+    if len(records) != len(REFERENCE_CUBIC10_HE):
         raise ValueError(
-            f"expected {len(reference)} census records, got {len(records)}"
+            f"expected {len(REFERENCE_CUBIC10_HE)} census records, got {len(records)}"
         )
     slack = 1e-9
-    refs = sorted(reference)
+    refs = sorted(REFERENCE_CUBIC10_HE)
     values = sorted(r.he for r in records)
     used = [False] * len(values)
     matches: dict[int, float] = {}

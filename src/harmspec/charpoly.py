@@ -127,6 +127,9 @@ class RatPoly:
         return self.numerators == other.numerators and self.denominator == other.denominator
 
     def __hash__(self):
+        # A constant equals its int or Fraction value, so it hashes as one.
+        if self.degree <= 0:
+            return hash(self.coefficient(0))
         return hash((self.numerators, self.denominator))
 
     def __add__(self, other) -> "RatPoly":

@@ -15,10 +15,10 @@ import sys
 from . import audit as audit_mod
 from .census import (
     REFERENCE_CUBIC10_HE,
-    census,
     census_from_graphs,
     census_json,
     compare_reference_table,
+    enumerate_regular,
     records_csv,
     truncate3,
 )
@@ -51,41 +51,73 @@ def _decimals(text: str) -> int:
     return value
 
 
-def _add_family_args(sub: argparse.ArgumentParser):
-    sub.add_argument("--family", choices=FAMILIES, help="graph family to build")
-    sub.add_argument("--n", type=int, help="main size parameter")
-    sub.add_argument("--m", type=int, help="second parameter (bipartite part, windmill cycle length)")
-    sub.add_argument("--from-file", dest="from_file", help="read graph6 input from a file instead")
-
-
 def _add_output_args(sub: argparse.ArgumentParser, formats: tuple[str, ...]):
     sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--out", help="write output to this path instead of stdout")
+
+
+def _gen(args, graphs: list[Graph]):
+    return [(code, {"graph6": code}) for code in map(encode_graph6, graphs)]
+
+
+def _matrix(args, graphs: list[Graph]):
+    return [(matrix_text(m), matrix_json(m)) for m in map(harmonic_matrix, graphs)]
+
+
+def _index(args, graphs: list[Graph]):
+    return [
+        (str(h), {"harmonic_index": {"num": h.numerator, "den": h.denominator}})
+        for h in map(harmonic_index, graphs)
+    ]
+
+
+def _charpoly(args, graphs: list[Graph]):
+    pairs = []
+    for p in graph_char_polys(graphs):
+        factored = factored_display(p)
+        pairs.append((f"{poly_text(p)}\n  = {factored}", {**poly_json(p), "factored": factored}))
+    return pairs
+
+
+def _energy(args, graphs: list[Graph]):
+    dec = args.decimals
+    pairs = []
+    for report in harmonic_energies(graphs, tol=args.tol):
+        # Adding 0.0 turns the -0.0 of a rounded-off zero eigenvalue into 0.0.
+        spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in report.spectrum.eigenvalues)
+        text = (
+            f"graph6: {report.graph6}\nHE = {report.he:.{dec}f}\nspectrum: [{spect}]\n"
+            f"method: jacobi, sweeps: {report.spectrum.sweeps}, "
+            f"off-norm: {report.spectrum.off_norm:.3e}"
+        )
+        pairs.append((text, spectrum_json(report)))
+    return pairs
+
+
+# The subcommands that read graphs from --family or --from-file: name ->
+# (help, formats, function from (args, graphs) to one (text block, JSON
+# payload) pair per graph).
+_GRAPH_COMMANDS = {
+    "gen": ("emit a family graph as graph6", ("text", "graph6", "json"), _gen),
+    "matrix": ("exact harmonic matrix", ("text", "json"), _matrix),
+    "index": ("exact harmonic index", ("text", "json"), _index),
+    "charpoly": ("exact harmonic characteristic polynomial", ("text", "json"), _charpoly),
+    "energy": ("harmonic energy and spectrum", ("text", "json"), _energy),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="harmspec", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    gen = subs.add_parser("gen", parents=[], help="emit a family graph as graph6")
-    _add_family_args(gen)
-    _add_output_args(gen, ("text", "graph6", "json"))
-
-    matrix = subs.add_parser("matrix", help="exact harmonic matrix")
-    _add_family_args(matrix)
-    _add_output_args(matrix, ("text", "json"))
-
-    index = subs.add_parser("index", help="exact harmonic index")
-    _add_family_args(index)
-    _add_output_args(index, ("text", "json"))
-
-    charpoly = subs.add_parser("charpoly", help="exact harmonic characteristic polynomial")
-    _add_family_args(charpoly)
-    _add_output_args(charpoly, ("text", "json"))
-
-    energy = subs.add_parser("energy", help="harmonic energy and spectrum")
-    _add_family_args(energy)
-    _add_output_args(energy, ("text", "json"))
+    for name, (help_text, formats, _) in _GRAPH_COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("--family", choices=FAMILIES, help="graph family to build")
+        sub.add_argument("--n", type=int, help="main size parameter")
+        sub.add_argument("--m", type=int, help="second parameter (bipartite part, windmill cycle length)")
+        sub.add_argument("--from-file", dest="from_file", help="read graph6 input from a file instead")
+        _add_output_args(sub, formats)
+    energy = subs.choices["energy"]
     energy.add_argument("--tol", type=float, default=DEFAULT_TOL, help="eigensolver tolerance")
     energy.add_argument("--decimals", type=_decimals, default=7, help="display precision for text output")
 
@@ -108,16 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _family_graphs(args) -> list[Graph]:
-    if args.from_file:
-        try:
-            return read_graph6_file(args.from_file)
-        except OSError as exc:
-            raise ValueError(f"cannot read {args.from_file}: {exc.strerror or exc}") from exc
-    if not args.family:
-        raise ValueError("need --family (or --from-file)")
-    spec = FamilySpec(args.family, n=args.n, m=args.m)
-    return [generate(spec)]
+def _file_graphs(args, others: tuple[str, ...]) -> list[Graph] | None:
+    """The graphs of --from-file, or None without it. The other input flags,
+    the attributes named in others, are a usage error next to it."""
+    if not args.from_file:
+        return None
+    given = [f"--{name}" for name in others if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"--from-file cannot be combined with {', '.join(given)}")
+    try:
+        return read_graph6_file(args.from_file)
+    except OSError as exc:
+        raise ValueError(f"cannot read {args.from_file}: {exc.strerror or exc}") from exc
 
 
 def _emit(args, text: str):
@@ -128,96 +162,44 @@ def _emit(args, text: str):
         print(text)
 
 
-def _emit_blocks(args, blocks: list[str], payloads: list[dict]):
+def _cmd_graphs(args) -> int:
+    graphs = _file_graphs(args, ("family", "n", "m"))
+    if graphs is None:
+        if not args.family:
+            raise ValueError("need --family (or --from-file)")
+        graphs = [generate(FamilySpec(args.family, n=args.n, m=args.m))]
+    _, _, blocks = _GRAPH_COMMANDS[args.command]
+    pairs = blocks(args, graphs)
     if args.format == "json":
-        data = payloads[0] if len(payloads) == 1 else {"results": payloads}
-        _emit(args, json.dumps(data, indent=1))
+        payloads = [payload for _, payload in pairs]
+        _emit(args, json.dumps(payloads[0] if len(payloads) == 1 else {"results": payloads}, indent=1))
     else:
-        _emit(args, "\n\n".join(blocks))
-
-
-def _cmd_gen(args) -> int:
-    graphs = _family_graphs(args)
-    if args.format == "json":
-        payloads = [{"graph6": encode_graph6(g)} for g in graphs]
-        _emit_blocks(args, [], payloads)
-    else:
-        _emit(args, "\n".join(encode_graph6(g) for g in graphs))
-    return 0
-
-
-def _cmd_matrix(args) -> int:
-    graphs = _family_graphs(args)
-    blocks, payloads = [], []
-    for g in graphs:
-        m = harmonic_matrix(g)
-        blocks.append(matrix_text(m))
-        payloads.append(matrix_json(m))
-    _emit_blocks(args, blocks, payloads)
-    return 0
-
-
-def _cmd_index(args) -> int:
-    graphs = _family_graphs(args)
-    blocks, payloads = [], []
-    for g in graphs:
-        h = harmonic_index(g)
-        blocks.append(str(h))
-        payloads.append({"harmonic_index": {"num": h.numerator, "den": h.denominator}})
-    _emit_blocks(args, blocks, payloads)
-    return 0
-
-
-def _cmd_charpoly(args) -> int:
-    blocks, payloads = [], []
-    for p in graph_char_polys(_family_graphs(args)):
-        factored = factored_display(p)
-        blocks.append(f"{poly_text(p)}\n  = {factored}")
-        payload = poly_json(p)
-        payload["factored"] = factored
-        payloads.append(payload)
-    _emit_blocks(args, blocks, payloads)
-    return 0
-
-
-def _cmd_energy(args) -> int:
-    blocks, payloads = [], []
-    for report in harmonic_energies(_family_graphs(args), tol=args.tol):
-        dec = args.decimals
-        # Adding 0.0 turns the -0.0 of a rounded-off zero eigenvalue into 0.0.
-        spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in report.spectrum.eigenvalues)
-        blocks.append(
-            f"graph6: {report.graph6}\nHE = {report.he:.{dec}f}\nspectrum: [{spect}]\n"
-            f"method: jacobi, sweeps: {report.spectrum.sweeps}, "
-            f"off-norm: {report.spectrum.off_norm:.3e}"
-        )
-        payloads.append(spectrum_json(report))
-    _emit_blocks(args, blocks, payloads)
+        _emit(args, ("\n" if args.command == "gen" else "\n\n").join(text for text, _ in pairs))
     return 0
 
 
 def _cmd_census(args) -> int:
-    progress = None if args.quiet else (lambda msg: print(msg, file=sys.stderr))
-    if args.from_file:
-        graphs = _family_graphs(args)
-        records, classes = census_from_graphs(graphs)
-        n = d = None
-        cubic10 = all(g.n == 10 and set(degrees(g)) == {3} for g in graphs)
-    else:
+    graphs = _file_graphs(args, ("n", "degree"))
+    if graphs is None:
         if args.n is None or args.degree is None:
             raise ValueError("census needs --n and --degree (or --from-file)")
-        n, d = args.n, args.degree
-        records, classes = census(n, d, progress=progress)
-        cubic10 = (n, d) == (10, 3)
+        if not args.quiet:
+            print(f"enumerating {args.degree}-regular graphs on {args.n} vertices ...", file=sys.stderr)
+        graphs = enumerate_regular(args.n, args.degree)
+        if not args.quiet:
+            print(f"{len(graphs)} isomorphism classes; solving spectra ...", file=sys.stderr)
+    records, classes = census_from_graphs(graphs)
 
     comparison = None
-    if cubic10 and len(records) == len(REFERENCE_CUBIC10_HE):
+    if len(graphs) == len(REFERENCE_CUBIC10_HE) and all(
+        g.n == 10 and set(degrees(g)) == {3} for g in graphs
+    ):
         comparison = compare_reference_table(records)
 
     if args.format == "csv":
         _emit(args, records_csv(records))
     elif args.format == "json":
-        _emit(args, json.dumps(census_json(records, classes, comparison, n, d), indent=1))
+        _emit(args, json.dumps(census_json(records, classes, comparison, args.n, args.degree), indent=1))
     else:
         dec = args.decimals
         lines = [f"{'idx':>4} {'graph6':<16} {'conn':<5} {'HE':>12}"]
@@ -282,15 +264,7 @@ def _cmd_audit(args) -> int:
     return 2 if drift else 0
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "matrix": _cmd_matrix,
-    "index": _cmd_index,
-    "charpoly": _cmd_charpoly,
-    "energy": _cmd_energy,
-    "census": _cmd_census,
-    "audit": _cmd_audit,
-}
+_HANDLERS = {**dict.fromkeys(_GRAPH_COMMANDS, _cmd_graphs), "census": _cmd_census, "audit": _cmd_audit}
 
 
 def main(argv: list[str] | None = None) -> int:

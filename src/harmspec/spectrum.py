@@ -235,8 +235,10 @@ def jacobi_eigenvalues_stack(
     Returns one (eigenvalues sorted non-increasing, final off-diagonal norm,
     sweeps used) triple per matrix. Raises JacobiConvergenceError for the
     first matrix whose off-diagonal norm is still above tol * ||a||_F after
-    max_sweeps sweeps.
+    max_sweeps sweeps, and ValueError for a tol that is not finite and
+    positive.
     """
+    _check_tol(tol)
     mats = [np.asarray(m, dtype=float) for m in stack]
     for m in mats:
         if m.size and (m.ndim != 2 or m.shape[0] != m.shape[1]):
@@ -290,7 +292,6 @@ def eigenvalues_symmetric(
     m: Sequence[Sequence[Fraction | int | float]], tol: float = DEFAULT_TOL
 ) -> Spectrum:
     """Spectrum of an exact symmetric matrix via the Jacobi solver."""
-    _check_tol(tol)
     a = np.array(m, dtype=float)
     if a.size and not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")

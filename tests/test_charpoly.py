@@ -172,6 +172,19 @@ class TestRatPolyAgainstReference:
         if p == q:
             assert hash(p) == hash(q)
 
+    @given(st.lists(st.one_of(coefficients.map(RatPoly), scalar), min_size=2, max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_values_hash_equal(self, pair):
+        # A constant polynomial equals its int or Fraction value, so as a
+        # dict key or set member it must be the same key.
+        a, b = pair
+        if a == b:
+            assert hash(a) == hash(b)
+        for c in (0, 1, -3, Fraction(2, 3), Fraction(-5, 12)):
+            assert hash(RatPoly((c,))) == hash(c)
+        assert {RatPoly.one(): "a"}.get(1) == "a"
+        assert len({RatPoly.one(), 1, Fraction(1)}) == 1
+
     @given(coefficients, coefficient)
     @settings(max_examples=100, deadline=None)
     def test_evaluate(self, a, x):

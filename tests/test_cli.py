@@ -76,6 +76,21 @@ class TestIndex:
         assert payload["harmonic_index"] == {"num": 5, "den": 2}
 
 
+class TestExactGoldens:
+    @pytest.mark.parametrize("command, fmt, suffix", [
+        ("gen", "text", "txt"), ("gen", "graph6", "txt"), ("gen", "json", "json"),
+        ("matrix", "text", "txt"), ("matrix", "json", "json"),
+        ("index", "text", "txt"), ("index", "json", "json"),
+    ])
+    def test_small_golden(self, capsys, command, fmt, suffix):
+        # Orders 4, 5 and 6, one graph with an isolated vertex.
+        code, out, err = run(
+            capsys, command, "--from-file", str(DATA / "exact_small.g6"), "--format", fmt
+        )
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"{command}_small.{suffix}").read_text()
+
+
 class TestCharpoly:
     def test_text_includes_factored(self, capsys):
         code, out, _ = run(capsys, "charpoly", "--family", "complete", "--n", "3")
@@ -430,6 +445,23 @@ class TestErrors:
         code, _, err = run(capsys, "matrix")
         assert code == 1
         assert "--family" in err
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (("energy", "--family", "cycle", "--n", "5"), "--family, --n"),
+            (("gen", "--family", "petersen"), "--family"),
+            (("matrix", "--m", "3"), "--m"),
+            (("charpoly", "--n", "0"), "--n"),
+            (("census", "--n", "4", "--degree", "3"), "--n, --degree"),
+            (("census", "--degree", "3", "--quiet"), "--degree"),
+        ],
+    )
+    def test_from_file_with_other_inputs(self, capsys, argv, flags):
+        # The file would be read and the other inputs dropped without a word.
+        code, out, err = run(capsys, *argv, "--from-file", str(DATA / "exact_small.g6"))
+        assert (code, out) == (1, "")
+        assert err == f"harmspec: error: --from-file cannot be combined with {flags}\n"
 
     def test_unreadable_file(self, capsys):
         code, _, err = run(capsys, "energy", "--from-file", "/does/not/exist.g6")

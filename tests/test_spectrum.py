@@ -104,6 +104,16 @@ class TestEigensolver:
         with pytest.raises(ValueError, match="finite and positive"):
             eigenvalues_symmetric(harmonic_matrix(cycle(10)), tol=tol)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_solver_checks_tolerance(self, tol):
+        # The solver itself rejects the tolerance: a NaN one returned [0, 0]
+        # for eigenvalues +-1 after no sweep, and -1 ran 100 sweeps.
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="finite and positive"):
+            jacobi_eigenvalues_stack([a], tol=tol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            jacobi_eigenvalues(a, tol=tol)
+
 
 def _eigvalsh_error(a: np.ndarray) -> float:
     eig, _, _ = jacobi_eigenvalues(a)
