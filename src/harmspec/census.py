@@ -5,12 +5,14 @@ published reference energies for cubic graphs of order 10.
 Enumeration is a backtracking search over adjacency rows with remaining
 degree pruning. Each row joins its vertex to only a prefix of every group
 of later vertices whose adjacency so far is equal (twins, which a
-relabeling swaps without changing the partial graph), a sound symmetry
-reduction that keeps at least one labeling of every class. Survivors then
-go through full isomorph rejection via canonical forms, computed by
-individualization-refinement with automorphism pruning. A degree d with
-2d > n - 1 is enumerated through the complements of the labeled
-(n-1-d)-regular graphs.
+relabeling swaps without changing the partial graph), and a completed
+labeling is kept only when each vertex leads its twins by an
+isomorphism-invariant key (see ``_labeled_regular``). Both are sound
+symmetry reductions that keep at least one labeling of every class. The
+survivors then go through full isomorph rejection via canonical forms,
+computed by individualization-refinement with automorphism pruning. A
+degree d with 2d > n - 1 is enumerated through the complements of the
+labeled (n-1-d)-regular graphs.
 """
 
 from __future__ import annotations
@@ -95,6 +97,19 @@ def _labeled_regular(n: int, d: int):
     Swapping two twins maps the partial graph onto itself, so any
     completion of another choice is isomorphic to a completion of the
     prefix choice. The untouched vertices form one such group.
+
+    A completed labeling is yielded only when every vertex i leads its
+    class: no vertex j > i whose adjacency to 0..i-1 equals that of i has
+    a larger key (see ``_leads_twins``). This is sound for any key that
+    relabeling carries along with the vertex. Take any labeling of a class
+    and fix rows in order. Before row i, swap i with a largest-key vertex
+    of its class; the swap fixes 0..i-1, and since the two vertices have
+    the same adjacency to 0..i-1, every earlier row keeps its set of
+    neighbours, so its prefix choices and its own class stand. Then make
+    row i a prefix of each twin group by swaps of twins, which fix 0..i.
+    Every later swap fixes 0..i and maps the class of i onto itself with
+    the keys, so i stays a leader. The result is a labeling the rows above
+    reach and the rule keeps.
     """
     adj = [0] * n
     deg = [0] * n
@@ -110,7 +125,8 @@ def _labeled_regular(n: int, d: int):
 
     def rec(i: int):
         if i == n:
-            yield tuple(adj)
+            if _leads_twins(adj):
+                yield tuple(adj)
             return
         need = d - deg[i]
         if need == 0:
@@ -135,6 +151,37 @@ def _labeled_regular(n: int, d: int):
                 deg[j] -= 1
 
     yield from rec(0)
+
+
+def _leads_twins(adj: list[int]) -> bool:
+    """True when every vertex i has the largest key (see ``_twin_key``)
+    among the vertices j >= i whose adjacency to 0..i-1 equals its own.
+    Keys are computed as the comparisons reach them: most labelings fail
+    at vertex 0, whose class is every vertex."""
+    n = len(adj)
+    keys: list[tuple[int, int] | None] = [None] * n
+    for i in range(n - 1):
+        below = (1 << i) - 1
+        prefix = adj[i] & below
+        key = keys[i] or _twin_key(adj, i)
+        for j in range(i + 1, n):
+            if adj[j] & below == prefix:
+                if keys[j] is None:
+                    keys[j] = _twin_key(adj, j)
+                if keys[j] > key:
+                    return False
+    return True
+
+
+def _twin_key(adj: list[int], v: int) -> tuple[int, int]:
+    """(triangles through v, vertices at distance exactly two from v); the
+    first entry is held doubled, which orders the same."""
+    row = adj[v]
+    reach = tri = 0
+    for u in _bits(row):
+        reach |= adj[u]
+        tri += (row & adj[u]).bit_count()
+    return tri, (reach & ~row & ~(1 << v)).bit_count()
 
 
 def _prefix_choices(groups: list[list[int]], need: int):
@@ -174,8 +221,15 @@ def canonical_form(g: Graph) -> str:
     by the stored automorphisms that fix ``path`` pointwise. That group maps
     the tried child's subtree onto the skipped one with equal leaf codes,
     so the maximum, and with it the result, is the one the unpruned search
-    finds. An automorphism with the first leaf also ends the search below
-    the common ancestor of the two leaves: it fixes the ancestor's path and
+    finds. Each automorphism is stored as its support, the bitmask of the
+    vertices it moves, and its moved pairs (u, gamma(u)); it fixes ``path``
+    exactly when its support misses the path's bitmask. A node keeps one
+    orbit bitmask per vertex, joins two orbits for each moved pair that
+    still lies in different ones, and skips a child whose orbit meets the
+    bitmask of the tried children.
+
+    An automorphism with the first leaf also ends the search below the
+    common ancestor of the two leaves: it fixes the ancestor's path and
     maps the ancestor's first child, whose subtree is done, onto the child
     being searched, so the rest of that child's subtree repeats known
     codes.
@@ -199,7 +253,17 @@ def canonical_form(g: Graph) -> str:
     first: tuple[tuple[int, ...], list[int]] | None = None
     best: tuple[tuple[int, ...], list[int]] | None = None
     first_path: list[int] = []
-    automorphisms: list[list[int]] = []
+    # Each automorphism as (support bitmask, moved pairs (u, gamma(u))).
+    automorphisms: list[tuple[int, list[tuple[int, int]]]] = []
+
+    def found(lab: list[int], ref_lab: list[int]):
+        # The automorphism sends each vertex of one leaf labeling to the
+        # vertex at the same position of the other.
+        moved = [(v, u) for v, u in zip(lab, ref_lab) if v != u]
+        support = 0
+        for v, _ in moved:
+            support |= 1 << v
+        automorphisms.append((support, moved))
 
     def leaf(cells: list[int], path: list[int]) -> int | None:
         """Record the leaf; return the depth to jump back to, if any."""
@@ -220,63 +284,49 @@ def canonical_form(g: Graph) -> str:
             first_path = path
             return None
         if code == first[0]:
-            automorphisms.append(_mapping(lab, first[1]))
+            found(lab, first[1])
             depth = 0
             while path[depth] == first_path[depth]:
                 depth += 1
             return depth
         if code == best[0]:
-            automorphisms.append(_mapping(lab, best[1]))
+            found(lab, best[1])
         elif code > best[0]:
             best = (code, lab)
         return None
 
-    def search(cells: list[int], path: list[int]) -> int | None:
+    def search(cells: list[int], path: list[int], path_mask: int) -> int | None:
         """Search below the node ``path``; return the depth to jump back to
         when an automorphism with the first leaf cuts this subtree short."""
         t = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if t is None:
             return leaf(cells, path)
         target = cells[t]
-        orbit = list(range(n))  # union-find parent pointers
-        used = 0                # automorphisms already merged into orbit
-
-        def find(v: int) -> int:
-            while orbit[v] != v:
-                orbit[v] = orbit[orbit[v]]
-                v = orbit[v]
-            return v
-
-        tried: list[int] = []
+        orbit = [1 << v for v in range(n)]  # the bitmask of each vertex's orbit
+        used = 0                            # automorphisms already merged into orbit
+        tried = 0                           # bitmask of the children searched
         for v in _bits(target):
-            for gamma in automorphisms[used:]:
-                if all(gamma[p] == p for p in path):
-                    for u in range(n):
-                        a, b = find(u), find(gamma[u])
-                        if a != b:
-                            orbit[max(a, b)] = min(a, b)
+            for support, moved in automorphisms[used:]:
+                if support & path_mask:
+                    continue
+                for u, w in moved:
+                    if not orbit[u] >> w & 1:
+                        union = orbit[u] | orbit[w]
+                        for x in _bits(union):
+                            orbit[x] = union
             used = len(automorphisms)
-            root = find(v)
-            if any(find(u) == root for u in tried):
+            if orbit[v] & tried:
                 continue
-            tried.append(v)
+            tried |= 1 << v
             split = [1 << v, target ^ 1 << v]
-            back = search(_refine(adj, cells[:t] + split + cells[t + 1:], split), path + [v])
+            back = search(_refine(adj, cells[:t] + split + cells[t + 1:], split),
+                          path + [v], path_mask | 1 << v)
             if back is not None and back < len(path):
                 return back
         return None
 
-    search(cells, [])
+    search(cells, [], 0)
     return encode_graph6(Graph(n, best[0]))
-
-
-def _mapping(lab: list[int], ref_lab: list[int]) -> list[int]:
-    """The permutation that sends each vertex of one leaf labeling to the
-    vertex at the same position of another."""
-    gamma = [0] * len(lab)
-    for v, u in zip(lab, ref_lab):
-        gamma[v] = u
-    return gamma
 
 
 def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> list[int]:

@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _file_graphs(args, others: tuple[str, ...]) -> list[Graph] | None:
     """The graphs of --from-file, or None without it. The other input flags,
     the attributes named in others, are a usage error next to it."""
-    if not args.from_file:
+    if args.from_file is None:
         return None
     given = [f"--{name}" for name in others if getattr(args, name) is not None]
     if given:

@@ -468,6 +468,19 @@ class TestErrors:
         assert code == 1
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("energy",), "cannot read : "),
+            (("census", "--n", "4", "--degree", "3"), "--from-file cannot be combined with --n, --degree"),
+        ],
+    )
+    def test_empty_file_name_is_a_file_name(self, capsys, argv, message):
+        # An empty --from-file names a file; it does not mean "no file".
+        code, out, err = run(capsys, *argv, "--from-file", "")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"harmspec: error: {message}")
+
     def test_no_subcommand(self, capsys):
         code, _, _ = run(capsys)
         assert code == 1
