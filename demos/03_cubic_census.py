@@ -8,10 +8,10 @@ into equal-energy classes, and compare against the published reference
 values.
 """
 
-from harmspec import census, compare_reference_table
+from harmspec import census_from_graphs, compare_reference_table, enumerate_regular
 from harmspec.census import truncate3
 
-records, classes = census(10, 3)
+records, classes = census_from_graphs(enumerate_regular(10, 3))
 
 print(f"{len(records)} isomorphism classes, "
       f"{sum(1 for r in records if r.connected)} connected\n")

@@ -7,7 +7,6 @@ from .census import (
     CensusRecord,
     EnergyClass,
     canonical_form,
-    census,
     census_from_graphs,
     compare_reference_table,
     enumerate_regular,
@@ -57,7 +56,6 @@ __all__ = [
     "audit_claim",
     "build_graph",
     "canonical_form",
-    "census",
     "census_from_graphs",
     "char_poly",
     "compare_reference_table",

@@ -460,8 +460,17 @@ def write_baseline(path: str, results: Iterable[AuditResult]) -> None:
 
 
 def load_baseline(path: str) -> dict:
+    """The baseline a file holds: a JSON object whose "verdicts" maps result
+    keys to verdict strings. Anything else is a ValueError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            baseline = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None
+    verdicts = baseline.get("verdicts") if isinstance(baseline, dict) else None
+    if not (isinstance(verdicts, dict) and all(isinstance(v, str) for v in verdicts.values())):
+        raise ValueError(f'{path} is not an audit baseline: "verdicts" must map keys to verdict strings')
+    return baseline
 
 
 def default_baseline() -> dict:

@@ -380,12 +380,6 @@ def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int]) -> lis
 # ---------------------------------------------------------------------------
 
 
-def census(n: int, d: int) -> tuple[list[CensusRecord], list[EnergyClass]]:
-    """Full census at (n, d): enumerate, solve every spectrum, and group
-    the graphs into harmonic-energy classes."""
-    return census_from_graphs(enumerate_regular(n, d))
-
-
 def census_from_graphs(graphs: Sequence[Graph]) -> tuple[list[CensusRecord], list[EnergyClass]]:
     """Census records and energy classes for an externally supplied list of
     graphs (one record per input, in input order)."""
@@ -440,10 +434,10 @@ def energy_classes(records: Sequence[CensusRecord]) -> list[EnergyClass]:
     return classes
 
 
-def spectra_diff_count(a: Sequence[float], b: Sequence[float], tol: float) -> int:
+def spectra_diff_count(a: Sequence[float], b: Sequence[float], bound: float) -> int:
     """Number of differing eigenvalues between two equal-length spectra:
     half the size of the multiset symmetric difference, where two
-    eigenvalues match when they differ by at most tol (in a census, the sum
+    eigenvalues match when they differ by at most bound (in a census, the sum
     of the two spectra's eigenvalue bounds)."""
     if len(a) != len(b):
         raise ValueError("spectra must have equal length")
@@ -451,7 +445,7 @@ def spectra_diff_count(a: Sequence[float], b: Sequence[float], tol: float) -> in
     sb = sorted(b, reverse=True)
     i = j = matched = 0
     while i < len(sa) and j < len(sb):
-        if abs(sa[i] - sb[j]) <= tol:
+        if abs(sa[i] - sb[j]) <= bound:
             matched += 1
             i += 1
             j += 1
@@ -464,8 +458,10 @@ def spectra_diff_count(a: Sequence[float], b: Sequence[float], tol: float) -> in
 
 @functools.lru_cache(maxsize=None)
 def cached_census(n: int, d: int) -> tuple[tuple[CensusRecord, ...], tuple[EnergyClass, ...]]:
-    """Memoized census, shared by the audit claims and the test suite."""
-    records, classes = census(n, d)
+    """Memoized full census at (n, d), shared by the audit claims and the
+    test suite: enumerate, solve every spectrum, and group the graphs into
+    harmonic-energy classes."""
+    records, classes = census_from_graphs(enumerate_regular(n, d))
     return tuple(records), tuple(classes)
 
 

@@ -26,12 +26,7 @@ from .charpoly import factored_display, graph_char_polys, poly_json, poly_text
 from .families import FAMILIES, FamilySpec, generate
 from .graphs import Graph, degrees, encode_graph6, read_graph6_file
 from .harmonic import harmonic_index, harmonic_matrix, matrix_json, matrix_text
-from .spectrum import (
-    DEFAULT_TOL,
-    JacobiConvergenceError,
-    harmonic_energies,
-    spectrum_json,
-)
+from .spectrum import JacobiConvergenceError, harmonic_energies, spectrum_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,7 +77,7 @@ def _charpoly(args, graphs: list[Graph]):
 def _energy(args, graphs: list[Graph]):
     dec = args.decimals
     pairs = []
-    for report in harmonic_energies(graphs, tol=args.tol):
+    for report in harmonic_energies(graphs):
         # Adding 0.0 turns the -0.0 of a rounded-off zero eigenvalue into 0.0.
         spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in report.spectrum.eigenvalues)
         text = (
@@ -118,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--from-file", dest="from_file", help="read graph6 input from a file instead")
         _add_output_args(sub, formats)
     energy = subs.choices["energy"]
-    energy.add_argument("--tol", type=float, default=DEFAULT_TOL, help="eigensolver tolerance")
     energy.add_argument("--decimals", type=_decimals, default=7, help="display precision for text output")
 
     census = subs.add_parser("census", help="regular-graph census with energies")
@@ -229,25 +223,22 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    results = audit_mod.audit_all(args.claim if args.claim else None)
-    if args.write_baseline:
+    results = audit_mod.audit_all(args.claim)
+    if args.write_baseline is not None:
         audit_mod.write_baseline(args.write_baseline, results)
         if not args.quiet:
             print(f"baseline written to {args.write_baseline}", file=sys.stderr)
         return 0
-    if args.baseline:
-        baseline = audit_mod.load_baseline(args.baseline)
-    else:
+    if args.baseline is None:
         baseline = audit_mod.default_baseline()
+    else:
+        baseline = audit_mod.load_baseline(args.baseline)
     if args.claim:
         # Restricted runs are compared only against the matching slice of
         # the baseline; untouched claims are not drift.
         stems = set(args.claim)
-        verdicts = baseline.get("verdicts", {})
-        baseline = dict(baseline)
-        baseline["verdicts"] = {
-            k: v for k, v in verdicts.items() if k.split("|")[0] in stems
-        }
+        verdicts = {k: v for k, v in baseline["verdicts"].items() if k.split("|")[0] in stems}
+        baseline = {**baseline, "verdicts": verdicts}
     drift = audit_mod.compare_to_baseline(results, baseline)
 
     if args.format == "json":

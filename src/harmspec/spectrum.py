@@ -21,8 +21,13 @@ off-diagonal norm is at or below its threshold; its arithmetic, and so
 every bit of its results, is the same in any stack as alone. A single
 matrix is a stack of one. The order is fixed and there is no
 randomization, so a given matrix always produces bit-identical output.
-Harmonic matrices are built as floats (harmonic_float_matrix), and every
-tolerance is relative to the Frobenius norm.
+Harmonic matrices are built as floats (harmonic_float_matrix).
+
+The stopping rule is fixed: a matrix is done once its off-diagonal norm is
+at most DEFAULT_TOL times its Frobenius norm, and JacobiConvergenceError
+ends a solve that needs more than MAX_SWEEPS sweeps. No caller sets
+either: every decision that reads a spectrum uses its error_bounds, which
+come from the off-diagonal norm and sweeps the solver reports.
 """
 
 from __future__ import annotations
@@ -224,8 +229,6 @@ def _sweep(w: np.ndarray, orders: tuple[int, ...]) -> None:
 
 def jacobi_eigenvalues_stack(
     stack: Sequence[np.ndarray] | np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = MAX_SWEEPS,
 ) -> list[tuple[np.ndarray, float, int]]:
     """Round-robin Jacobi on a stack of k symmetric float matrices of any
     orders, zero-padded to the largest. Every matrix gets the rounds, live
@@ -234,11 +237,9 @@ def jacobi_eigenvalues_stack(
 
     Returns one (eigenvalues sorted non-increasing, final off-diagonal norm,
     sweeps used) triple per matrix. Raises JacobiConvergenceError for the
-    first matrix whose off-diagonal norm is still above tol * ||a||_F after
-    max_sweeps sweeps, and ValueError for a tol that is not finite and
-    positive.
+    first matrix whose off-diagonal norm is still above DEFAULT_TOL *
+    ||a||_F after MAX_SWEEPS sweeps.
     """
-    _check_tol(tol)
     mats = [np.asarray(m, dtype=float) for m in stack]
     for m in mats:
         if m.size and (m.ndim != 2 or m.shape[0] != m.shape[1]):
@@ -247,13 +248,13 @@ def jacobi_eigenvalues_stack(
     a = np.zeros((len(mats), max(orders, default=0), max(orders, default=0)))
     for block, m in zip(a, mats):
         block[: len(m), : len(m)] = m
-    thresholds = [tol * _norm(m) for m in mats]
+    thresholds = [DEFAULT_TOL * _norm(m) for m in mats]
     offs = [_norm(m, off=True) for m in mats]
     sweeps = [0] * len(mats)
     active = [i for i, (off, threshold) in enumerate(zip(offs, thresholds)) if off > threshold]
     done = 0
     while active:
-        if done >= max_sweeps:
+        if done >= MAX_SWEEPS:
             raise JacobiConvergenceError(offs[active[0]], done)
         live = tuple(orders[i] for i in active)
         size = max(live)
@@ -271,54 +272,44 @@ def jacobi_eigenvalues_stack(
     ]
 
 
-def jacobi_eigenvalues(
-    a: np.ndarray, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS
-) -> tuple[np.ndarray, float, int]:
+def jacobi_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, float, int]:
     """Round-robin Jacobi on one symmetric float matrix: a stack of one.
 
     Returns (eigenvalues sorted non-increasing, final off-diagonal norm,
     sweeps used). Raises JacobiConvergenceError when the off-diagonal norm
-    is still above tol * ||a||_F after max_sweeps sweeps.
+    is still above DEFAULT_TOL * ||a||_F after MAX_SWEEPS sweeps.
     """
-    return jacobi_eigenvalues_stack([a], tol, max_sweeps)[0]
+    return jacobi_eigenvalues_stack([a])[0]
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-
-
-def eigenvalues_symmetric(
-    m: Sequence[Sequence[Fraction | int | float]], tol: float = DEFAULT_TOL
-) -> Spectrum:
+def eigenvalues_symmetric(m: Sequence[Sequence[Fraction | int | float]]) -> Spectrum:
     """Spectrum of an exact symmetric matrix via the Jacobi solver."""
     a = np.array(m, dtype=float)
     if a.size and not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
-    eig, off, sweeps = jacobi_eigenvalues(a, tol)
+    eig, off, sweeps = jacobi_eigenvalues(a)
     return Spectrum(tuple(float(x) for x in eig), off, sweeps)
 
 
-def harmonic_energies(graphs: Sequence[Graph], tol: float = DEFAULT_TOL) -> list[EnergyReport]:
+def harmonic_energies(graphs: Sequence[Graph]) -> list[EnergyReport]:
     """Harmonic energy of every graph, in input order. The graphs, sorted
     by order, are cut into stacks by order_batches, each solved in one
     call."""
-    _check_tol(tol)
     by_order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
     reports: list[EnergyReport | None] = [None] * len(graphs)
     for batch in order_batches([graphs[i].n for i in by_order]):
         chunk = by_order[batch]
         stack = [harmonic_float_matrix(graphs[i]) for i in chunk]
-        for i, (eig, off, sweeps) in zip(chunk, jacobi_eigenvalues_stack(stack, tol)):
+        for i, (eig, off, sweeps) in zip(chunk, jacobi_eigenvalues_stack(stack)):
             spec = Spectrum(tuple(float(x) for x in eig), off, sweeps)
             he = float(sum(abs(x) for x in spec.eigenvalues))
             reports[i] = EnergyReport(he, encode_graph6(graphs[i]), spec)
     return reports
 
 
-def harmonic_energy(g: Graph, tol: float = DEFAULT_TOL) -> EnergyReport:
+def harmonic_energy(g: Graph) -> EnergyReport:
     """Sum of absolute eigenvalues of the harmonic matrix."""
-    return harmonic_energies([g], tol)[0]
+    return harmonic_energies([g])[0]
 
 
 def spectrum_json(report: EnergyReport) -> dict:

@@ -1,6 +1,6 @@
-import importlib
 import random
 import time
+import types
 from itertools import combinations
 from pathlib import Path
 
@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmspec.census as census_mod
 from harmspec.census import (
     REFERENCE_CUBIC10_HE,
     CensusRecord,
     _labeled_regular,
     _refine,
+    cached_census,
     canonical_form,
-    census,
     census_from_graphs,
     compare_reference_table,
     energy_classes,
@@ -329,8 +330,7 @@ class TestSymmetric12:
 
     def test_complete12_refinements(self, monkeypatch):
         # The automorphisms cut K12's search tree to 78 refinements.
-        module = importlib.import_module("harmspec.census")
-        refine = module._refine
+        refine = census_mod._refine
         calls = 0
 
         def counted(*args):
@@ -338,7 +338,7 @@ class TestSymmetric12:
             calls += 1
             return refine(*args)
 
-        monkeypatch.setattr(module, "_refine", counted)
+        monkeypatch.setattr(census_mod, "_refine", counted)
         canonical_form(complete(12))
         assert calls == 78
 
@@ -375,7 +375,8 @@ class TestCensus12:
     """n = 12 censuses finish within stated wall-time bounds. The bounds
     leave a wide margin over the measured times (2-core VM, Python 3.11):
     under 0.01 s for (12,11), (12,10) and (12,2), about 0.2 s for (12,3)
-    and (12,8), and about 9 s for (12,4), which is marked slow."""
+    and (12,8), and, marked slow, about 9 s for (12,4) and 70-110 s each for
+    (12,5) and (12,6)."""
 
     @pytest.mark.parametrize("d,classes", [(11, 1), (2, 9), (10, 1)])
     def test_fast_degrees(self, d, classes):
@@ -416,6 +417,21 @@ class TestCensus12:
             for i, j in combinations(c.members, 2):
                 a, b = records[i - 1], records[j - 1]
                 assert abs(a.he - b.he) <= error_bounds(a.spectrum)[1] + error_bounds(b.spectrum)[1]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "d, count, disconnected, energy_classes", [(5, 7849, 1, 6257), (6, 7849, 0, 6261)]
+    )
+    def test_degrees_5_and_6(self, d, count, disconnected, energy_classes):
+        # OEIS A006821: 7,848 connected quintic graphs on 12 vertices; the
+        # disconnected one is two copies of K6. The sextic graphs are their
+        # complements, all connected.
+        start = time.perf_counter()
+        records, classes = census_from_graphs(enumerate_regular(12, d))
+        assert time.perf_counter() - start < 150.0
+        assert len(records) == count
+        assert sum(not r.connected for r in records) == disconnected
+        assert len(classes) == energy_classes
 
 
 def _assert_distinct_regular_classes(graphs, d):
@@ -468,8 +484,14 @@ class TestComplementCensus:
 
 
 class TestCensus:
+    def test_module_is_not_shadowed(self):
+        # No function of the package is named census, so the dotted import
+        # binds the module.
+        assert isinstance(census_mod, types.ModuleType)
+        assert census_mod._refine is _refine
+
     def test_cubic6_records(self):
-        records, classes = census(6, 3)
+        records, classes = cached_census(6, 3)
         assert len(records) == 2
         values = sorted(r.he for r in records)
         # K_{3,3} has adjacency energy 6, the prism 8; HE = E/3.
@@ -478,20 +500,20 @@ class TestCensus:
         assert all(len(c.members) == 1 for c in classes)
 
     def test_cubic4_single_class(self):
-        records, classes = census(4, 3)
+        records, classes = cached_census(4, 3)
         assert len(records) == 1
         assert abs(records[0].he - 2.0) < 1e-9
         assert classes[0].members == (1,)
 
     def test_records_consistent(self):
-        records, _ = census(8, 3)
+        records, _ = cached_census(8, 3)
         for r in records:
             assert abs(sum(abs(x) for x in r.spectrum.eigenvalues) - r.he) < 1e-12
             assert r.index >= 1
 
     def test_from_graphs_matches_enumeration(self):
         gs = enumerate_regular(6, 3)
-        direct = census(6, 3)
+        direct = cached_census(6, 3)
         via_list = census_from_graphs(gs)
         assert [r.he for r in direct[0]] == [r.he for r in via_list[0]]
 
@@ -513,7 +535,7 @@ class TestCensus:
         assert classes[0].eigen_diffs == ((1, 3, 0),)
 
     def test_csv_output(self):
-        records, _ = census(6, 3)
+        records, _ = cached_census(6, 3)
         text = records_csv(records)
         lines = text.strip().splitlines()
         assert lines[0] == "index,graph6,connected,he,spectrum"
@@ -610,7 +632,7 @@ class TestSpectraDiff:
 
 class TestReferenceTable:
     def test_wrong_count_rejected(self):
-        records, _ = census(6, 3)
+        records, _ = cached_census(6, 3)
         with pytest.raises(ValueError, match="expected 21"):
             compare_reference_table(records)
 
