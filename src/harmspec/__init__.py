@@ -19,7 +19,7 @@ from .charpoly import (
     poly_text,
     tridiag_charpoly,
 )
-from .families import FamilySpec, generate
+from .families import generate
 from .graphs import (
     Graph,
     Graph6Error,
@@ -47,7 +47,6 @@ __all__ = [
     "CensusRecord",
     "EnergyClass",
     "EnergyReport",
-    "FamilySpec",
     "Graph",
     "Graph6Error",
     "RatPoly",

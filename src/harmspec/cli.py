@@ -1,6 +1,9 @@
 """Command line entry point.
 
 Subcommands: gen, matrix, index, charpoly, energy, census, audit.
+A command writes its result or its error and nothing else: the result goes
+to stdout, or to the --out file with the same bytes, ending in a newline;
+an error goes to stderr. A successful command writes nothing on stderr.
 Exit status: 0 success, 1 usage or input error, 2 audit baseline drift.
 Exact values render as p/q strings in text and as {num, den} objects in
 JSON; floats never appear in exact outputs.
@@ -23,7 +26,7 @@ from .census import (
     truncate3,
 )
 from .charpoly import factored_display, graph_char_polys, poly_json, poly_text
-from .families import FAMILIES, FamilySpec, generate
+from .families import FAMILIES, generate
 from .graphs import Graph, degrees, encode_graph6, read_graph6_file
 from .harmonic import harmonic_index, harmonic_matrix, matrix_json, matrix_text
 from .spectrum import JacobiConvergenceError, harmonic_energies, spectrum_json
@@ -93,7 +96,7 @@ def _energy(args, graphs: list[Graph]):
 # (help, formats, function from (args, graphs) to one (text block, JSON
 # payload) pair per graph).
 _GRAPH_COMMANDS = {
-    "gen": ("emit a family graph as graph6", ("text", "graph6", "json"), _gen),
+    "gen": ("emit a family graph as graph6", ("text", "json"), _gen),
     "matrix": ("exact harmonic matrix", ("text", "json"), _matrix),
     "index": ("exact harmonic index", ("text", "json"), _index),
     "charpoly": ("exact harmonic characteristic polynomial", ("text", "json"), _charpoly),
@@ -120,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     census.add_argument("--degree", type=int, help="regular degree")
     census.add_argument("--from-file", dest="from_file", help="graph6 file to use as the census source")
     _add_output_args(census, ("text", "json", "csv"))
-    census.add_argument("--quiet", action="store_true", help="suppress progress logs")
     census.add_argument("--decimals", type=_decimals, default=7)
 
     audit = subs.add_parser("audit", help="audit registered claims against the oracles")
@@ -129,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--write-baseline", dest="write_baseline",
                        help="write the verdicts to this path as a new baseline")
     _add_output_args(audit, ("text", "json", "csv"))
-    audit.add_argument("--quiet", action="store_true")
 
     return parser
 
@@ -149,11 +150,13 @@ def _file_graphs(args, others: tuple[str, ...]) -> list[Graph] | None:
 
 
 def _emit(args, text: str):
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _cmd_graphs(args) -> int:
@@ -161,7 +164,7 @@ def _cmd_graphs(args) -> int:
     if graphs is None:
         if not args.family:
             raise ValueError("need --family (or --from-file)")
-        graphs = [generate(FamilySpec(args.family, n=args.n, m=args.m))]
+        graphs = [generate(args.family, n=args.n, m=args.m)]
     _, _, blocks = _GRAPH_COMMANDS[args.command]
     pairs = blocks(args, graphs)
     if args.format == "json":
@@ -177,11 +180,7 @@ def _cmd_census(args) -> int:
     if graphs is None:
         if args.n is None or args.degree is None:
             raise ValueError("census needs --n and --degree (or --from-file)")
-        if not args.quiet:
-            print(f"enumerating {args.degree}-regular graphs on {args.n} vertices ...", file=sys.stderr)
         graphs = enumerate_regular(args.n, args.degree)
-        if not args.quiet:
-            print(f"{len(graphs)} isomorphism classes; solving spectra ...", file=sys.stderr)
     records, classes = census_from_graphs(graphs)
 
     comparison = None
@@ -226,8 +225,6 @@ def _cmd_audit(args) -> int:
     results = audit_mod.audit_all(args.claim)
     if args.write_baseline is not None:
         audit_mod.write_baseline(args.write_baseline, results)
-        if not args.quiet:
-            print(f"baseline written to {args.write_baseline}", file=sys.stderr)
         return 0
     if args.baseline is None:
         baseline = audit_mod.default_baseline()

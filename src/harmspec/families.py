@@ -7,22 +7,7 @@ and blade/page vertices occupy consecutive blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graphs import Graph, build_graph
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family tag plus its integer parameters.
-
-    ``n`` is the main size parameter. ``m`` is the second parameter for
-    complete_bipartite (part sizes m, n) and dutch_windmill (cycle length m,
-    blade count n).
-    """
-
-    family: str
-    n: int | None = None
-    m: int | None = None
 
 
 def _require(cond: bool, family: str, message: str):
@@ -101,7 +86,7 @@ def petersen() -> Graph:
     return build_graph(10, edges)
 
 
-# Each family's constructor and the FamilySpec fields it takes, in call order.
+# Each family's constructor and the generate parameters it takes, in call order.
 _BUILDERS = {
     "path": (path, ("n",)),
     "cycle": (cycle, ("n",)),
@@ -116,20 +101,21 @@ _BUILDERS = {
 FAMILIES = tuple(_BUILDERS)
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph described by a FamilySpec, validating parameters."""
-    fam = spec.family
-    if fam not in _BUILDERS:
-        raise ValueError(f"unknown family {fam!r}; known families: {', '.join(FAMILIES)}")
-    build, fields = _BUILDERS[fam]
-    for name in ("n", "m"):
-        if name not in fields and getattr(spec, name) is not None:
-            raise ValueError(f"{fam}: does not take parameter {name}")
-    return build(*(_arg(spec, name) for name in fields))
+def generate(family: str, n: int | None = None, m: int | None = None) -> Graph:
+    """Build a member of the named family, validating its parameters.
 
-
-def _arg(spec: FamilySpec, name: str) -> int:
-    value = getattr(spec, name)
-    if value is None:
-        raise ValueError(f"{spec.family}: missing required parameter {name}")
-    return value
+    ``n`` is the main size parameter. ``m`` is the second parameter for
+    complete_bipartite (part sizes m, n) and dutch_windmill (cycle length m,
+    blade count n).
+    """
+    if family not in _BUILDERS:
+        raise ValueError(f"unknown family {family!r}; known families: {', '.join(FAMILIES)}")
+    build, fields = _BUILDERS[family]
+    given = {"n": n, "m": m}
+    for name, value in given.items():
+        if name not in fields and value is not None:
+            raise ValueError(f"{family}: does not take parameter {name}")
+    for name in fields:
+        if given[name] is None:
+            raise ValueError(f"{family}: missing required parameter {name}")
+    return build(*(given[name] for name in fields))

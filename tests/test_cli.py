@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import random
@@ -79,7 +81,7 @@ class TestIndex:
 
 class TestExactGoldens:
     @pytest.mark.parametrize("command, fmt, suffix", [
-        ("gen", "text", "txt"), ("gen", "graph6", "txt"), ("gen", "json", "json"),
+        ("gen", "text", "txt"), ("gen", "json", "json"),
         ("matrix", "text", "txt"), ("matrix", "json", "json"),
         ("index", "text", "txt"), ("index", "json", "json"),
     ])
@@ -215,35 +217,25 @@ class TestCensus:
         assert [(c["members"], c["eigen_diffs"]) for c in payload["classes"]] == [([1, 2], [])]
 
     def test_csv(self, capsys):
-        code, out, _ = run(
-            capsys, "census", "--n", "6", "--degree", "3", "--format", "csv", "--quiet"
-        )
+        code, out, _ = run(capsys, "census", "--n", "6", "--degree", "3", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "index,graph6,connected,he,spectrum"
         assert len(lines) == 3
 
     def test_json_schema(self, capsys):
-        code, out, _ = run(
-            capsys, "census", "--n", "6", "--degree", "3", "--format", "json", "--quiet"
-        )
+        code, out, _ = run(capsys, "census", "--n", "6", "--degree", "3", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         validate(payload, "census")
         assert len(payload["records"]) == 2
 
-    def test_quiet_suppresses_progress(self, capsys):
-        _, _, err = run(capsys, "census", "--n", "4", "--degree", "3", "--quiet")
-        assert err == ""
-        _, _, err = run(capsys, "census", "--n", "4", "--degree", "3")
-        assert "enumerating" in err
-
     def test_from_file(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "census", "--n", "6", "--degree", "3", "--format", "csv", "--quiet")
+        code, out, _ = run(capsys, "census", "--n", "6", "--degree", "3", "--format", "csv")
         lines = out.strip().splitlines()[1:]
         path = tmp_path / "c.g6"
         path.write_text("".join(line.split(",")[1] + "\n" for line in lines))
-        code, out, _ = run(capsys, "census", "--from-file", str(path), "--format", "json", "--quiet")
+        code, out, _ = run(capsys, "census", "--from-file", str(path), "--format", "json")
         assert code == 0
         payload = json.loads(out)
         validate(payload, "census")
@@ -253,29 +245,26 @@ class TestCensus:
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "census.csv"
         code, out, _ = run(
-            capsys, "census", "--n", "4", "--degree", "3", "--format", "csv",
-            "--quiet", "--out", str(target),
+            capsys, "census", "--n", "4", "--degree", "3", "--format", "csv", "--out", str(target)
         )
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("index,")
 
     def test_infeasible_is_error(self, capsys):
-        code, _, err = run(capsys, "census", "--n", "5", "--degree", "3", "--quiet")
+        code, _, err = run(capsys, "census", "--n", "5", "--degree", "3")
         assert code == 1
         assert "even" in err
 
     def test_full_cubic10_csv_rows(self, capsys):
-        code, out, _ = run(
-            capsys, "census", "--n", "10", "--degree", "3", "--format", "csv", "--quiet"
-        )
+        code, out, _ = run(capsys, "census", "--n", "10", "--degree", "3", "--format", "csv")
         assert code == 0
-        assert len(out.strip().splitlines()) == 22  # header plus 21 rows
+        assert len(list(csv.reader(io.StringIO(out)))) == 22  # header plus 21 rows
 
     @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("json", "json"), ("csv", "csv")])
     def test_cubic10_golden(self, capsys, fmt, suffix):
         # The text holds the energy classes and the reference comparison.
-        code, out, err = run(capsys, "census", "--n", "10", "--degree", "3", "--quiet", "--format", fmt)
+        code, out, err = run(capsys, "census", "--n", "10", "--degree", "3", "--format", fmt)
         assert (code, err) == (0, "")
         assert out == (DATA / f"census_10_3.{suffix}").read_text()
 
@@ -295,8 +284,8 @@ class TestCensus:
         assert "reference" not in out
 
     def test_cubic10_from_file_keeps_reference_comparison(self, capsys, tmp_path):
-        _, text, _ = run(capsys, "census", "--n", "10", "--degree", "3", "--quiet")
-        _, js, _ = run(capsys, "census", "--n", "10", "--degree", "3", "--format", "json", "--quiet")
+        _, text, _ = run(capsys, "census", "--n", "10", "--degree", "3")
+        _, js, _ = run(capsys, "census", "--n", "10", "--degree", "3", "--format", "json")
         assert "reference comparison: 21/21 matched" in text
         path = tmp_path / "cubic10.g6"
         path.write_text("".join(r["graph6"] + "\n" for r in json.loads(js)["records"]))
@@ -316,7 +305,7 @@ class TestCensus:
         with pytest.raises(AssertionError):
             run(capsys, "charpoly", "--family", "petersen")
         assert run(capsys, "energy", "--from-file", str(DATA / "energy_mixed.g6"))[0] == 0
-        assert run(capsys, "census", "--n", "8", "--degree", "3", "--quiet")[0] == 0
+        assert run(capsys, "census", "--n", "8", "--degree", "3")[0] == 0
         path = tmp_path / "mixed.g6"
         path.write_text("Bw\nCw\n")
         assert run(capsys, "census", "--from-file", str(path))[0] == 0
@@ -330,7 +319,7 @@ class TestBlasKernels:
     COMMANDS = (
         ("energy", "--from-file", str(DATA / "energy_mixed.g6"), "--format", "json"),
         ("charpoly", "--from-file", str(DATA / "energy_mixed.g6"), "--format", "json"),
-        ("census", "--from-file", str(DATA / "census_12_3.g6"), "--format", "json", "--quiet"),
+        ("census", "--from-file", str(DATA / "census_12_3.g6"), "--format", "json"),
     )
 
     def test_same_bytes_under_every_kernel(self):
@@ -365,11 +354,10 @@ class TestBlasKernels:
 class TestAudit:
     def test_restricted_run_json(self, capsys, tmp_path):
         baseline = tmp_path / "b.json"
-        code, _, _ = run(
-            capsys, "audit", "--claim", "thm-complete-energy",
-            "--write-baseline", str(baseline), "--quiet",
+        written = run(
+            capsys, "audit", "--claim", "thm-complete-energy", "--write-baseline", str(baseline)
         )
-        assert code == 0
+        assert written == (0, "", "")
         code, out, _ = run(
             capsys, "audit", "--claim", "thm-complete-energy",
             "--baseline", str(baseline), "--format", "json",
@@ -381,10 +369,7 @@ class TestAudit:
 
     def test_drift_exit_code(self, capsys, tmp_path):
         baseline = tmp_path / "b.json"
-        code, _, _ = run(
-            capsys, "audit", "--claim", "thm-complete-energy",
-            "--write-baseline", str(baseline), "--quiet",
-        )
+        run(capsys, "audit", "--claim", "thm-complete-energy", "--write-baseline", str(baseline))
         data = json.loads(baseline.read_text())
         first = sorted(data["verdicts"])[0]
         data["verdicts"][first] = "MISMATCH"
@@ -435,16 +420,51 @@ class TestAudit:
         assert (code, err) == (0, "")
         assert out == (DATA / f"audit.{suffix}").read_text()
 
+    def test_full_audit_csv_rows(self, capsys):
+        code, out, _ = run(capsys, "audit", "--format", "csv")
+        assert code == 0
+        assert len(list(csv.reader(io.StringIO(out)))) == 221  # header plus 220 verdicts
+
     def test_csv(self, capsys, tmp_path):
         baseline = tmp_path / "b.json"
-        run(capsys, "audit", "--claim", "thm-cycle-charpoly",
-            "--write-baseline", str(baseline), "--quiet")
+        run(capsys, "audit", "--claim", "thm-cycle-charpoly", "--write-baseline", str(baseline))
         code, out, _ = run(
             capsys, "audit", "--claim", "thm-cycle-charpoly",
             "--baseline", str(baseline), "--format", "csv",
         )
         assert code == 0
         assert out.splitlines()[0] == "claim,params,verdict,evidence"
+
+
+def _formats():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    return [
+        (name, fmt)
+        for name, sub in subcommands.items()
+        for action in sub._actions if action.dest == "format"
+        for fmt in action.choices
+    ]
+
+
+class TestWriteRule:
+    # One input per subcommand; census enumerates, without flags.
+    INPUTS = {
+        **dict.fromkeys(("gen", "matrix", "index", "charpoly", "energy"),
+                        ("--from-file", str(DATA / "exact_small.g6"))),
+        "census": ("--n", "6", "--degree", "3"),
+        "audit": ("--claim", "thm-petersen-energy"),
+    }
+
+    @pytest.mark.parametrize("command, fmt", _formats())
+    def test_out_file_gets_the_stdout_bytes(self, capsys, tmp_path, command, fmt):
+        # Both end in one newline, and a successful command is silent on stderr.
+        argv = (command, *self.INPUTS[command], "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        target = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == out.encode("utf-8")
 
 
 class TestErrors:
@@ -484,7 +504,7 @@ class TestErrors:
             (("matrix", "--m", "3"), "--m"),
             (("charpoly", "--n", "0"), "--n"),
             (("census", "--n", "4", "--degree", "3"), "--n, --degree"),
-            (("census", "--degree", "3", "--quiet"), "--degree"),
+            (("census", "--degree", "3"), "--degree"),
         ],
     )
     def test_from_file_with_other_inputs(self, capsys, argv, flags):
@@ -524,7 +544,7 @@ class TestErrors:
         [
             (("--tol", "1e-10"), set()),
             (("--decimals", "3"), {"energy", "census"}),
-            (("--quiet",), {"census", "audit"}),
+            (("--quiet",), set()),
         ],
     )
     def test_flag_belongs_to_its_subcommands(self, capsys, flag, commands):
@@ -544,7 +564,7 @@ class TestErrors:
         "argv",
         [
             ("energy", "--family", "petersen", "--decimals", "-1"),
-            ("census", "--n", "4", "--degree", "3", "--quiet", "--decimals", "-2"),
+            ("census", "--n", "4", "--degree", "3", "--decimals", "-2"),
         ],
         ids=["energy", "census"],
     )

@@ -6,7 +6,6 @@ from harmspec.census import canonical_form
 from harmspec.cli import build_parser
 from harmspec.families import (
     FAMILIES,
-    FamilySpec,
     book,
     complete,
     complete_bipartite,
@@ -111,26 +110,26 @@ def _girth(g):
     return best
 
 
-# One valid spec per family, in the documented family order, with the
-# direct constructor call it must build. The two-parameter families use
+# One valid parameter set per family, in the documented family order, with
+# the direct constructor call it must build. The two-parameter families use
 # m != n, so a swapped argument order builds a different labeling.
 DISPATCH_CASES = [
-    (FamilySpec("path", n=6), lambda: path(6)),
-    (FamilySpec("cycle", n=5), lambda: cycle(5)),
-    (FamilySpec("complete", n=4), lambda: complete(4)),
-    (FamilySpec("star", n=5), lambda: star(5)),
-    (FamilySpec("complete_bipartite", m=2, n=3), lambda: complete_bipartite(2, 3)),
-    (FamilySpec("friendship", n=2), lambda: friendship(2)),
-    (FamilySpec("dutch_windmill", m=4, n=3), lambda: dutch_windmill(4, 3)),
-    (FamilySpec("book", n=3), lambda: book(3)),
-    (FamilySpec("petersen"), petersen),
+    ("path", {"n": 6}, lambda: path(6)),
+    ("cycle", {"n": 5}, lambda: cycle(5)),
+    ("complete", {"n": 4}, lambda: complete(4)),
+    ("star", {"n": 5}, lambda: star(5)),
+    ("complete_bipartite", {"m": 2, "n": 3}, lambda: complete_bipartite(2, 3)),
+    ("friendship", {"n": 2}, lambda: friendship(2)),
+    ("dutch_windmill", {"m": 4, "n": 3}, lambda: dutch_windmill(4, 3)),
+    ("book", {"n": 3}, lambda: book(3)),
+    ("petersen", {}, petersen),
 ]
 
 
 def test_generate_dispatch():
-    assert tuple(spec.family for spec, _ in DISPATCH_CASES) == FAMILIES
-    for spec, direct in DISPATCH_CASES:
-        assert generate(spec) == direct(), spec.family
+    assert tuple(family for family, _, _ in DISPATCH_CASES) == FAMILIES
+    for family, params, direct in DISPATCH_CASES:
+        assert generate(family, **params) == direct(), family
 
 
 def test_cli_family_choices_follow_families():
@@ -150,42 +149,47 @@ def test_cli_family_choices_follow_families():
 @pytest.mark.parametrize(
     "spec,match",
     [
-        (FamilySpec("path", n=0), "path"),
-        (FamilySpec("cycle", n=2), "cycle"),
-        (FamilySpec("star", n=1), "star"),
-        (FamilySpec("complete_bipartite", m=0, n=1), "complete_bipartite"),
-        (FamilySpec("friendship", n=0), "friendship"),
-        (FamilySpec("dutch_windmill", m=2, n=1), "dutch_windmill"),
-        (FamilySpec("book", n=0), "book"),
+        (("path", {"n": 0}), "path"),
+        (("cycle", {"n": 2}), "cycle"),
+        (("star", {"n": 1}), "star"),
+        (("complete_bipartite", {"m": 0, "n": 1}), "complete_bipartite"),
+        (("friendship", {"n": 0}), "friendship"),
+        (("dutch_windmill", {"m": 2, "n": 1}), "dutch_windmill"),
+        (("book", {"n": 0}), "book"),
     ],
 )
 def test_parameter_bounds_enforced(spec, match):
+    family, params = spec
     with pytest.raises(ValueError, match=match):
-        generate(spec)
+        generate(family, **params)
 
 
 def test_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
-        generate(FamilySpec("moebius", n=3))
+        generate("moebius", n=3)
 
 
 @pytest.mark.parametrize(
     "spec, message",
     [
-        (FamilySpec("cycle", n=5, m=3), "cycle: does not take parameter m"),
-        (FamilySpec("petersen", n=7), "petersen: does not take parameter n"),
-        (FamilySpec("petersen", m=2), "petersen: does not take parameter m"),
-        (FamilySpec("book", n=2, m=4), "book: does not take parameter m"),
+        (("cycle", {"n": 5, "m": 3}), "cycle: does not take parameter m"),
+        (("petersen", {"n": 7}), "petersen: does not take parameter n"),
+        (("petersen", {"m": 2}), "petersen: does not take parameter m"),
+        (("book", {"n": 2, "m": 4}), "book: does not take parameter m"),
     ],
 )
 def test_unused_parameter_rejected(spec, message):
+    family, params = spec
     with pytest.raises(ValueError, match=message):
-        generate(spec)
+        generate(family, **params)
 
 
 def test_missing_parameter():
     with pytest.raises(ValueError, match="missing required parameter"):
-        generate(FamilySpec("path"))
+        generate("path")
+    # Parameters are checked in call order: m comes first for complete_bipartite.
+    with pytest.raises(ValueError, match="complete_bipartite: missing required parameter m"):
+        generate("complete_bipartite")
 
 
 def test_fixed_labeling_is_stable():

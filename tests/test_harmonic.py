@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 
-from harmspec.families import FAMILIES, FamilySpec, complete, generate, path, petersen
+from harmspec.families import FAMILIES, complete, generate, path, petersen
 from harmspec.graphs import (
     build_graph,
     decode_graph6,
@@ -132,14 +132,14 @@ def test_float_matrix_random_graphs_through_graph6():
 
 
 def test_float_matrix_every_family():
-    # Every member with n <= 12 and m <= 5: a spec that sets a parameter
+    # Every member with n <= 12 and m <= 5: a call that sets a parameter
     # its family does not take is rejected, so each graph is built once.
     built = 0
     for family in FAMILIES:
         for n in (None, *range(1, 13)):
             for m in (None, *range(1, 6)):
                 try:
-                    g = generate(FamilySpec(family, n=n, m=m))
+                    g = generate(family, n=n, m=m)
                 except ValueError:
                     continue
                 assert _same_doubles(g), (family, n, m)
