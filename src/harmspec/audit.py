@@ -474,8 +474,8 @@ def load_baseline(path: str) -> dict:
 
 
 def default_baseline() -> dict:
-    text = resources.files("harmspec").joinpath("data", BASELINE_RESOURCE).read_text()
-    return json.loads(text)
+    with resources.as_file(resources.files("harmspec").joinpath("data", BASELINE_RESOURCE)) as path:
+        return load_baseline(str(path))
 
 
 def compare_to_baseline(results: Iterable[AuditResult], baseline: dict) -> list[str]:

@@ -3,8 +3,10 @@ polynomials of rational symmetric matrices, and the closed-form harmonic
 characteristic polynomials of the named graph families.
 
 The characteristic polynomial is computed exactly by a multimodular
-algorithm. Each row i of M is cleared by its own denominators: with s_i the
-lcm of row i's, t one common factor and u_i = lcm(s_i, t)/t, the diagonal
+algorithm from M's entry table, its distinct entries and an index into
+them (harmonic_entries for a graph, _entry_table for any other matrix).
+Each row i of M is cleared by its own denominators: with s_i the lcm of
+row i's, t one common factor and u_i = lcm(s_i, t)/t, the diagonal
 scaling S = t*U makes S*M an integer matrix, and the integer polynomial
 P(y) = det(yU - S*M) = det(U) * det(yI - t*M) gives det(xI - M) at y = t*x.
 P is linear in each row, so its coefficient of y^k sums products of k of
@@ -53,7 +55,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .graphs import Graph
-from .harmonic import harmonic_matrix
+from .harmonic import harmonic_entries
 from .spectrum import order_batches
 
 Rat = int | Fraction
@@ -305,14 +307,18 @@ def _prime_stream() -> Iterator[int]:
 
 def char_polys(matrices: Iterable[Sequence[Sequence[Rat]]]) -> list[RatPoly]:
     """Monic characteristic polynomials det(xI - M) of square rational
-    matrices, computed exactly, in input order.
+    matrices, computed exactly, in input order. Raises ValueError for a
+    non-square matrix before any reduction."""
+    return _char_polys([_entry_table(m) for m in matrices])
 
-    Every matrix keeps its own scaling, coefficient bound, primes and check
+
+def _char_polys(tables: Iterable[tuple[Sequence[Rat], np.ndarray]]) -> list[RatPoly]:
+    """char_polys of matrices given as entry tables (entries, index). Every
+    matrix keeps its own scaling, coefficient bound, primes and check
     prime. The (matrix, prime) lanes of all matrices, sorted by order, fill
     kernel calls in turn, so one call may span matrices of several orders;
-    a call's residues are built only when it runs. Raises ValueError for a
-    non-square matrix before any reduction."""
-    plans = [_modular_plan(m) for m in matrices]
+    a call's residues are built only when it runs."""
+    plans = [_modular_plan(*table) for table in tables]
     lanes = sorted(((len(plan.index), i, q) for i, plan in enumerate(plans) for q in plan.moduli),
                    key=operator.itemgetter(0))
     residues: list[list[list[int]]] = [[] for _ in plans]
@@ -336,13 +342,24 @@ def char_poly(matrix: Sequence[Sequence[Rat]]) -> RatPoly:
     return char_polys([matrix])[0]
 
 
+def _entry_table(matrix: Sequence[Sequence[Rat]]) -> tuple[list[Rat], np.ndarray]:
+    """A square rational matrix as its distinct entries, as first seen, and
+    the (n, n) index into them. Raises ValueError if it is not square."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    positions: dict[Rat, int] = {}
+    index = [positions.setdefault(x, len(positions)) for row in matrix for x in row]
+    return list(positions), np.array(index, dtype=np.intp).reshape(n, n)
+
+
 class _Plan(NamedTuple):
     """A square rational matrix M ready for the modular kernel, under the
     row scaling S = t*U of the module docstring: t as ``scale`` and det(U);
-    the lcm s of all of M's denominators and s*M as the (n, n) index into
-    its distinct integer entries, so that the kernel reduces t*M as t/s
-    times them; the bound prod(u_i + ||row i of S*M||) on every
-    coefficient of P(y) = det(yU - S*M); and the primes, none dividing a
+    the lcm s of all of M's denominators, s times M's distinct entries as
+    ``values`` and M's (n, n) index into them, so that the kernel reduces
+    t*M as t/s times values[index]; the bound prod(u_i + ||row i of S*M||)
+    on every coefficient of P(y) = det(yU - S*M); and the primes, none dividing a
     denominator, whose product exceeds twice the bound, followed by one
     more prime that checks the reconstruction."""
 
@@ -355,20 +372,15 @@ class _Plan(NamedTuple):
     moduli: list[int]
 
 
-def _modular_plan(matrix: Sequence[Sequence[Rat]]) -> _Plan:
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    lcms = [math.lcm(*(x.denominator for x in row)) for row in matrix]
+def _modular_plan(entries: Sequence[Rat], index: np.ndarray) -> _Plan:
+    # counts[i][e]: how often row i holds entries[e].
+    n, k = len(index), len(entries)
+    cells = (index + k * np.arange(n)[:, None]).ravel()
+    counts = np.bincount(cells, minlength=n * k).reshape(n, k).tolist()
+    lcms = [math.lcm(*(x.denominator for x, c in zip(entries, row) if c)) for row in counts]
     top = math.lcm(*lcms)
-    values: dict[int, int] = {}
-    rows, sqnorms = [], []
-    for row in matrix:
-        ints = [x.numerator * (top // x.denominator) for x in row]
-        sqnorms.append(sum(v * v for v in ints))
-        rows.append([values.setdefault(v, len(values)) for v in ints])
-    index = np.array(rows, dtype=np.intp).reshape(n, n)
+    values = [x.numerator * (top // x.denominator) for x in entries]
+    sqnorms = [sum(c * v * v for c, v in zip(row, values) if c) for row in counts]
 
     # Row i of S*M is the integer vector lcm(s_i, t)/top times row i of
     # top*M; isqrt(x) + 1 exceeds sqrt(x).
@@ -390,7 +402,7 @@ def _modular_plan(matrix: Sequence[Sequence[Rat]]) -> _Plan:
             if modulus > 2 * bound:
                 break
             modulus *= q
-    return _Plan(scale, det_u, top, list(values), index, bound, moduli)
+    return _Plan(scale, det_u, top, values, index, bound, moduli)
 
 
 def _reconstruct(plan: _Plan, residues: list[list[int]]) -> RatPoly:
@@ -624,13 +636,13 @@ def closed_form_petersen() -> RatPoly:
 
 def graph_char_polys(graphs: Iterable[Graph]) -> list[RatPoly]:
     """Exact characteristic polynomials of the harmonic matrices of the
-    graphs, in input order, as one batch."""
-    return char_polys(harmonic_matrix(g) for g in graphs)
+    graphs, in input order, as one batch, planned from their entry tables."""
+    return _char_polys(map(harmonic_entries, graphs))
 
 
 def graph_char_poly(g: Graph) -> RatPoly:
     """Exact characteristic polynomial of the harmonic matrix of g."""
-    return char_poly(harmonic_matrix(g))
+    return graph_char_polys([g])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = subs.add_parser("audit", help="audit registered claims against the oracles")
     audit.add_argument("--claim", action="append", help="restrict to this claim id (repeatable)")
-    audit.add_argument("--baseline", help="baseline file to compare against (default: packaged)")
-    audit.add_argument("--write-baseline", dest="write_baseline",
-                       help="write the verdicts to this path as a new baseline")
+    baseline = audit.add_mutually_exclusive_group()
+    baseline.add_argument("--baseline", help="baseline file to compare against (default: packaged)")
+    baseline.add_argument("--write-baseline", dest="write_baseline",
+                          help="write the verdicts to this path as a new baseline")
     _add_output_args(audit, ("text", "json", "csv"))
 
     return parser
@@ -222,14 +223,12 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    baseline = (audit_mod.default_baseline() if args.baseline is None
+                else audit_mod.load_baseline(args.baseline))
     results = audit_mod.audit_all(args.claim)
     if args.write_baseline is not None:
         audit_mod.write_baseline(args.write_baseline, results)
         return 0
-    if args.baseline is None:
-        baseline = audit_mod.default_baseline()
-    else:
-        baseline = audit_mod.load_baseline(args.baseline)
     if args.claim:
         # Restricted runs are compared only against the matching slice of
         # the baseline; untouched claims are not drift.

@@ -2,8 +2,9 @@
 
 The harmonic matrix has entry 2/(d_i + d_j) for every edge ij and 0
 elsewhere; the harmonic index is the same quantity summed over edges.
-Both are exact; the eigensolver takes the matrix as correctly rounded
-floats built straight from the degrees.
+harmonic_entries computes them once per graph, as a table of distinct
+entries and an index into it, which the exact matrix, the harmonic index,
+the exact characteristic polynomial and the eigensolver's floats all read.
 """
 
 from __future__ import annotations
@@ -15,37 +16,29 @@ import numpy as np
 from .graphs import Graph, degrees
 
 
+def harmonic_entries(g: Graph) -> tuple[list[Fraction], np.ndarray]:
+    """The harmonic matrix of g as (entries, index): its distinct entries, 0
+    and then 2/s for each degree sum s = d_u + d_v of an edge uv, ascending
+    in s, and the (n, n) array of each entry's position in them. Isolated
+    vertices give zero rows: a factor x of the characteristic polynomial."""
+    deg = degrees(g)
+    position = {s: k for k, s in enumerate(sorted({deg[u] + deg[v] for u, v in g.edges()}), 1)}
+    index = np.zeros((g.n, g.n), dtype=np.intp)
+    for u, v in g.edges():
+        index[u, v] = index[v, u] = position[deg[u] + deg[v]]
+    return [Fraction(0), *(Fraction(2, s) for s in position)], index
+
+
 def harmonic_matrix(g: Graph) -> list[list[Fraction]]:
-    """Symmetric n x n matrix with entry 2/(d_i + d_j) on edges.
-
-    Isolated vertices simply produce zero rows (they contribute a factor
-    of the variable to the characteristic polynomial, consistent with the
-    disjoint union product rule).
-    """
-    deg = degrees(g)
-    m = [[Fraction(0)] * g.n for _ in range(g.n)]
-    for u, v in g.edges():
-        w = Fraction(2, deg[u] + deg[v])
-        m[u][v] = w
-        m[v][u] = w
-    return m
-
-
-def harmonic_float_matrix(g: Graph) -> np.ndarray:
-    """harmonic_matrix(g) as floats, built without Fractions. 2.0 / (d_u + d_v)
-    divides two exactly represented integers, so IEEE rounds it correctly:
-    it is the double float(Fraction(2, d_u + d_v)) returns, bit for bit."""
-    deg = degrees(g)
-    m = np.zeros((g.n, g.n))
-    for u, v in g.edges():
-        m[u, v] = m[v, u] = 2.0 / (deg[u] + deg[v])
-    return m
+    """Symmetric n x n Fraction matrix with entry 2/(d_i + d_j) on edges."""
+    entries, index = harmonic_entries(g)
+    return [[entries[k] for k in row] for row in index.tolist()]
 
 
 def harmonic_index(g: Graph) -> Fraction:
     """Exact sum of 2/(d_u + d_v) over edges; half the matrix entry sum."""
-    deg = degrees(g)
-    return sum((Fraction(2, deg[u] + deg[v]) for u, v in g.edges()), Fraction(0))
+    entries, index = harmonic_entries(g)
+    return sum((c * x for c, x in zip(np.bincount(index.ravel()).tolist(), entries)), Fraction(0)) / 2
 
 
 def matrix_text(m: list[list[Fraction]]) -> str:

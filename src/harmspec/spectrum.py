@@ -21,7 +21,7 @@ off-diagonal norm is at or below its threshold; its arithmetic, and so
 every bit of its results, is the same in any stack as alone. A single
 matrix is a stack of one. The order is fixed and there is no
 randomization, so a given matrix always produces bit-identical output.
-Harmonic matrices are built as floats (harmonic_float_matrix).
+A harmonic matrix is read as floats from its table, harmonic_entries.
 
 The stopping rule is fixed: a matrix is done once its off-diagonal norm is
 at most DEFAULT_TOL times its Frobenius norm, and JacobiConvergenceError
@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import Graph, encode_graph6
-from .harmonic import harmonic_float_matrix
+from .harmonic import harmonic_entries
 
 DEFAULT_TOL = 1e-12
 MAX_SWEEPS = 100
@@ -299,7 +299,8 @@ def harmonic_energies(graphs: Sequence[Graph]) -> list[EnergyReport]:
     reports: list[EnergyReport | None] = [None] * len(graphs)
     for batch in order_batches([graphs[i].n for i in by_order]):
         chunk = by_order[batch]
-        stack = [harmonic_float_matrix(graphs[i]) for i in chunk]
+        stack = [np.array(entries, dtype=float)[index]
+                 for entries, index in (harmonic_entries(graphs[i]) for i in chunk)]
         for i, (eig, off, sweeps) in zip(chunk, jacobi_eigenvalues_stack(stack)):
             spec = Spectrum(tuple(float(x) for x in eig), off, sweeps)
             he = float(sum(abs(x) for x in spec.eigenvalues))

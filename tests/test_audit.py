@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from harmspec import audit, charpoly, spectrum
+from harmspec import audit, spectrum
 from harmspec.audit import (
     CLAIMS,
     EXACT_MATCH,
@@ -201,9 +201,10 @@ def solves(monkeypatch):
     """The inputs of every spectrum and every exact CP call the audit makes:
     the graph6 of each graph given to harmonic_energies as audit reaches it
     (the census keeps its own reference), the orders of each Jacobi stack
-    that call solves, and each matrix given to char_polys."""
+    that call solves, and the graph6 of each graph given to
+    graph_char_polys."""
     calls = {"spectra": [], "stacks": [], "charpolys": []}
-    energies, polys = audit.harmonic_energies, charpoly.char_polys
+    energies, polys = audit.harmonic_energies, audit.graph_char_polys
     solve_stack = spectrum.jacobi_eigenvalues_stack
 
     def spy_stack(stack, *args, **kwargs):
@@ -216,13 +217,13 @@ def solves(monkeypatch):
             patch.setattr(spectrum, "jacobi_eigenvalues_stack", spy_stack)
             return energies(graphs, *args, **kwargs)
 
-    def spy_polys(matrices):
-        matrices = list(matrices)
-        calls["charpolys"].append([tuple(map(tuple, m)) for m in matrices])
-        return polys(matrices)
+    def spy_polys(graphs):
+        graphs = list(graphs)
+        calls["charpolys"].append([encode_graph6(g) for g in graphs])
+        return polys(graphs)
 
     monkeypatch.setattr(audit, "harmonic_energies", spy_energies)
-    monkeypatch.setattr(charpoly, "char_polys", spy_polys)
+    monkeypatch.setattr(audit, "graph_char_polys", spy_polys)
     return calls
 
 

@@ -44,8 +44,8 @@ from harmspec.families import (
     petersen,
     star,
 )
-from harmspec.graphs import decode_graph6, disjoint_union
-from harmspec.harmonic import harmonic_matrix
+from harmspec.graphs import decode_graph6, degrees, disjoint_union
+from harmspec.harmonic import harmonic_entries, harmonic_matrix
 from harmspec.spectrum import BATCH_ENTRIES
 
 from conftest import (
@@ -63,6 +63,11 @@ from conftest import (
 X = RatPoly.x()
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+
+
+def _plan(m) -> charpoly._Plan:
+    """The plan char_polys makes for the rational matrix m."""
+    return charpoly._modular_plan(*charpoly._entry_table(m))
 
 
 class TestPolyArithmetic:
@@ -739,7 +744,7 @@ class TestModularCharPoly:
         # Petersen and C10 share one kernel call; corrupt a lane of C10, the
         # second matrix of the call.
         matrices = [harmonic_matrix(petersen()), harmonic_matrix(cycle(10))]
-        first, second = (len(charpoly._modular_plan(m).moduli) for m in matrices)
+        first, second = (len(_plan(m).moduli) for m in matrices)
         assert first + second <= charpoly.PRIME_CHUNK
         target = first if lane == 0 else first + second - 1
         reduce = charpoly._hessenberg_char_poly
@@ -762,7 +767,7 @@ class TestModularCharPoly:
         # first and zero-padded from order 5; corrupt a lane of C5 in the
         # constant term of its own polynomial.
         matrices = [harmonic_matrix(petersen()), harmonic_matrix(cycle(5))]
-        first, second = (len(charpoly._modular_plan(m).moduli) for m in matrices)
+        first, second = (len(_plan(m).moduli) for m in matrices)
         assert first + second <= charpoly.PRIME_CHUNK
         target = 0 if lane == 0 else second - 1
         reduce = charpoly._hessenberg_char_poly
@@ -787,7 +792,7 @@ class TestModularCharPoly:
         # its plan scales by t = gcd(s_i) rather than lcm(s_i), with det U
         # > 1; it too needs fewer primes than one chunk holds.
         m = harmonic_matrix(random_graph(random.Random(1), 20, 0.15))
-        plan = charpoly._modular_plan(m)
+        plan = _plan(m)
         row_lcms = [math.lcm(*(x.denominator for x in row)) for row in m]
         assert plan.scale == math.gcd(*row_lcms) < math.lcm(*row_lcms)
         assert plan.det_u > 1 and len(plan.moduli) <= charpoly.PRIME_CHUNK
@@ -865,7 +870,7 @@ class TestStackedCharPolys:
             assert _within_budget(shape)
         lanes = sorted(order for _, _, orders in calls for order in orders)
         assert lanes == sorted(len(m) for m in matrices
-                               for _ in charpoly._modular_plan(m).moduli)
+                               for _ in _plan(m).moduli)
 
     def test_audit_batch_takes_two_calls(self, monkeypatch):
         # Grouped by order, the audit's 201 lanes of orders 2 to 25 took 23
@@ -876,11 +881,11 @@ class TestStackedCharPolys:
         assert [shape[1] for shape, _, _ in calls] == [12, 25]
         assert all(_within_budget(shape) for shape, _, _ in calls)
         assert sum(len(primes) for _, primes, _ in calls) == sum(
-            len(charpoly._modular_plan(harmonic_matrix(g)).moduli) for g in graphs)
+            len(charpoly._modular_plan(*harmonic_entries(g)).moduli) for g in graphs)
 
     def test_order_40_calls_hold_prime_chunk_lanes(self, monkeypatch):
         m = harmonic_matrix(random_graph(random.Random(1), 40, 0.5))
-        full, rest = divmod(len(charpoly._modular_plan(m).moduli), charpoly.PRIME_CHUNK)
+        full, rest = divmod(len(_plan(m).moduli), charpoly.PRIME_CHUNK)
         calls = _spy_kernel(monkeypatch)
         char_poly(m)
         assert [shape for shape, _, _ in calls] == (
@@ -955,7 +960,7 @@ class TestRowScaledPlan:
     @staticmethod
     def _assert_plans(matrices):
         for m in matrices:
-            plan = charpoly._modular_plan(m)
+            plan = _plan(m)
             assert len(plan.moduli) <= global_scale_modulus_count(m)
             coeffs = _integer_coefficients(m, plan)
             assert all(c.denominator == 1 for c in coeffs)
@@ -985,12 +990,12 @@ class TestRowScaledPlan:
         # Seed-1 G(40, p) needs 34 and 85 moduli under one global scale;
         # the pinned counts may fall but not rise.
         m = harmonic_matrix(random_graph(random.Random(1), 40, p))
-        assert len(charpoly._modular_plan(m).moduli) <= pinned < global_scale_modulus_count(m)
+        assert len(_plan(m).moduli) <= pinned < global_scale_modulus_count(m)
 
     @pytest.mark.parametrize("name", list(_HOSTILE))
     def test_hostile_denominators(self, name):
         m = _hostile(name)
-        plan = charpoly._modular_plan(m)
+        plan = _plan(m)
         dens = {x.denominator for row in m for x in row}
         assert all(d % q for q in plan.moduli for d in dens)
         for q in (_P1, _P2):
@@ -1005,16 +1010,47 @@ class TestRowScaledPlan:
         # for them under one global scale; scaling by the gcd of the row
         # denominators does not.
         m = _hostile("one-wide-row")
-        plan = charpoly._modular_plan(m)
+        plan = _plan(m)
         assert plan.scale == 1 and plan.det_u > 1
         assert len(plan.moduli) < global_scale_modulus_count(m)
 
     @given(row_scaled_matrix())
     @settings(max_examples=60, deadline=None)
     def test_row_scaled_matrices(self, m):
-        plan = charpoly._modular_plan(m)
+        plan = _plan(m)
         assert max(abs(c) for c in _integer_coefficients(m, plan)) <= plan.bound
         assert char_poly(m) == faddeev_leverrier_char_poly(m)
+
+
+def _assert_same_plans(g) -> None:
+    """The graph path plans g's harmonic matrix from harmonic_entries, the
+    rational path from its Fraction grid, checked here against 2/(d_u + d_v)
+    on every edge: the plans and the CPs agree."""
+    deg = degrees(g)
+    assert harmonic_matrix(g) == [[Fraction(2, deg[u] + deg[v]) if g.adj[u] >> v & 1 else 0
+                                   for v in range(g.n)] for u in range(g.n)]
+    graph, rational = charpoly._modular_plan(*harmonic_entries(g)), _plan(harmonic_matrix(g))
+    for field in ("scale", "det_u", "lcm", "bound", "moduli"):
+        assert getattr(graph, field) == getattr(rational, field), field
+    grids = [np.array(plan.values, dtype=object)[plan.index] for plan in (graph, rational)]
+    assert grids[0].shape == grids[1].shape == (g.n, g.n)
+    assert (grids[0] == grids[1]).all()
+    assert graph_char_polys([g]) == char_polys([harmonic_matrix(g)])
+
+
+class TestGraphPlan:
+    @given(graph_strategy(max_n=12))
+    @settings(max_examples=100, deadline=None)
+    def test_small_graphs(self, g):
+        _assert_same_plans(g)
+
+    def test_mixed_degree_random_graphs(self):
+        rng = random.Random(23)
+        for n in (13, 21, 30, 40):
+            for p in (0.15, 0.5, 0.85):
+                g = random_graph(rng, n, p)
+                assert len(set(degrees(g))) > 2
+                _assert_same_plans(g)
 
 
 @pytest.mark.slow

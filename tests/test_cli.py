@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from harmspec import audit as audit_mod
 from harmspec import spectrum
 from harmspec.cli import build_parser, main
 from harmspec.graphs import decode_graph6, encode_graph6
@@ -195,6 +196,12 @@ class TestEnergy:
         validate(payload, "energy")
         assert payload["method"] == "jacobi"
 
+    def test_schema_names_only_the_method_in_use(self, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+        _, out, _ = run(capsys, "energy", "--family", "petersen", "--format", "json")
+        with pytest.raises(jsonschema.ValidationError, match="regular-shortcut"):
+            validate({**json.loads(out), "method": "regular-shortcut"}, "energy")
+
     def test_from_file_multiple(self, capsys, tmp_path):
         path = tmp_path / "graphs.g6"
         path.write_text("D?{\nC~\n")
@@ -295,7 +302,8 @@ class TestCensus:
         assert json.loads(out)["reference_comparison"] == json.loads(js)["reference_comparison"]
 
     def test_energy_and_census_build_no_exact_matrix(self, capsys, monkeypatch, tmp_path):
-        # The spectra come from the float matrix; Fractions are for exact outputs.
+        # Every subcommand but matrix reads the harmonic entry table; the
+        # Fraction grid is for matrix's output alone.
         def forbidden(g):
             raise AssertionError("harmonic_matrix called")
 
@@ -303,12 +311,14 @@ class TestCensus:
             if getattr(module, "harmonic_matrix", None) is harmonic_matrix:
                 monkeypatch.setattr(module, "harmonic_matrix", forbidden)
         with pytest.raises(AssertionError):
-            run(capsys, "charpoly", "--family", "petersen")
-        assert run(capsys, "energy", "--from-file", str(DATA / "energy_mixed.g6"))[0] == 0
-        assert run(capsys, "census", "--n", "8", "--degree", "3")[0] == 0
+            run(capsys, "matrix", "--family", "petersen")
         path = tmp_path / "mixed.g6"
         path.write_text("Bw\nCw\n")
-        assert run(capsys, "census", "--from-file", str(path))[0] == 0
+        mixed = ("--from-file", str(DATA / "energy_mixed.g6"))
+        for argv in (*((command, *mixed) for command in ("gen", "index", "charpoly", "energy")),
+                     ("census", "--n", "8", "--degree", "3"), ("census", "--from-file", str(path)),
+                     ("audit",)):
+            assert run(capsys, *argv)[0] == 0, argv
 
 
 class TestBlasKernels:
@@ -394,6 +404,30 @@ class TestAudit:
         code, out, err = run(capsys, "audit", *claim, "--baseline", str(baseline))
         assert (code, out) == (1, "")
         assert err.startswith(f"harmspec: error: {baseline} {message}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--baseline", "tests/data/missing.json"), "[Errno 2] No such file or directory"),
+        (("--baseline", "tests/data/gen_small.json"), "tests/data/gen_small.json is not an audit"),
+        (("--baseline", "tests/data/exact_small.g6"), "tests/data/exact_small.g6 is not JSON"),
+        ((), "[Errno 2] No such file or directory"),
+    ], ids=["missing", "malformed", "not-json", "packaged-missing"])
+    def test_bad_baseline_fails_before_the_audit(self, capsys, monkeypatch, argv, message):
+        calls = []
+        monkeypatch.chdir(DATA.parents[1])
+        monkeypatch.setattr(audit_mod, "audit_all", lambda *args: calls.append(args) or [])
+        if not argv:
+            monkeypatch.setattr(audit_mod, "BASELINE_RESOURCE", "missing.json")
+        code, out, err = run(capsys, "audit", *argv)
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith(f"harmspec: error: {message}")
+
+    def test_baseline_and_write_baseline_exclude_each_other(self, capsys, tmp_path):
+        written = tmp_path / "b.json"
+        code, out, err = run(capsys, "audit", "--baseline", "missing.json",
+                             "--write-baseline", str(written))
+        assert (code, out) == (1, "")
+        assert "argument --write-baseline: not allowed with argument --baseline" in err
+        assert not written.exists()
 
     @pytest.mark.parametrize("flag", ["--baseline", "--write-baseline"])
     def test_empty_baseline_name_is_a_file_name(self, capsys, flag):

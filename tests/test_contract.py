@@ -8,7 +8,8 @@ relative. After an intended output change, regenerate the manifest with
 
     PYTHONPATH=src python tests/test_contract.py --write
 
-and name every changed line in CHANGES.md.
+and name every changed line in CHANGES.md: the script prints the argv of
+each line that is new or whose exit status or hashes changed.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ def _commands() -> list[tuple[str, ...]]:
         ("census", "--n", "4", "--degree", "3", "--quiet"),
         ("audit", "--quiet"),
         ("gen", "--family", "petersen", "--format", "graph6"),
+        ("audit", "--baseline", "tests/data/missing.json", "--write-baseline", "tests/data/unwritten.json"),
     ]
     return census + files + audit + errors
 
@@ -112,4 +114,9 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_contract.py --write")
     os.chdir(ROOT)
-    MANIFEST.write_text("".join(_line(argv) + "\n" for argv in COMMANDS), encoding="utf-8")
+    old = _manifest() if MANIFEST.exists() else {}
+    lines = [_line(argv) for argv in COMMANDS]
+    for argv, line in zip(COMMANDS, lines):
+        if old.get(argv) != line:
+            print("changed:" if argv in old else "new:", shlex.join(argv))
+    MANIFEST.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

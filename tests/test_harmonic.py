@@ -14,7 +14,7 @@ from harmspec.graphs import (
     read_graph6_file,
 )
 from harmspec.harmonic import (
-    harmonic_float_matrix,
+    harmonic_entries,
     harmonic_index,
     harmonic_matrix,
     matrix_json,
@@ -110,10 +110,12 @@ def test_matrix_json_pairs():
 
 
 def _same_doubles(g) -> bool:
-    # The float matrix holds the bits of the exact matrix converted entry
-    # by entry, including the sign of every zero.
+    # The solver's float matrix, read from the entry table, holds the bits
+    # of the exact matrix converted entry by entry, including the sign of
+    # every zero.
+    entries, index = harmonic_entries(g)
     exact = np.array(harmonic_matrix(g), dtype=float).reshape(g.n, g.n)
-    return harmonic_float_matrix(g).tobytes() == exact.tobytes()
+    return np.array(entries, dtype=float)[index].tobytes() == exact.tobytes()
 
 
 @given(graph_strategy(max_n=12))

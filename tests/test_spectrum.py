@@ -25,7 +25,7 @@ from harmspec.graphs import (
     read_graph6_file,
     relabel,
 )
-from harmspec.harmonic import harmonic_float_matrix, harmonic_matrix
+from harmspec.harmonic import harmonic_matrix
 from harmspec.spectrum import (
     UNIT_ROUNDOFF,
     JacobiConvergenceError,
@@ -53,6 +53,12 @@ from conftest import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def harmonic_floats(g) -> np.ndarray:
+    """The harmonic matrix of g as correctly rounded floats, from its
+    Fractions."""
+    return np.array(harmonic_matrix(g), dtype=float).reshape(g.n, g.n)
 
 
 class TestEigensolver:
@@ -140,11 +146,11 @@ class TestRoundRobin:
     @pytest.mark.parametrize(
         "name, a",
         [
-            ("K16", harmonic_float_matrix(complete(16))),
-            ("K17", harmonic_float_matrix(complete(17))),
-            ("petersen", harmonic_float_matrix(petersen())),
-            ("4 x petersen", harmonic_float_matrix(disjoint_union([petersen()] * 4))),
-            ("5 x C7", harmonic_float_matrix(disjoint_union([cycle(7)] * 5))),
+            ("K16", harmonic_floats(complete(16))),
+            ("K17", harmonic_floats(complete(17))),
+            ("petersen", harmonic_floats(petersen())),
+            ("4 x petersen", harmonic_floats(disjoint_union([petersen()] * 4))),
+            ("5 x C7", harmonic_floats(disjoint_union([cycle(7)] * 5))),
             ("3 x dense 6", np.kron(np.eye(3), np.full((6, 6), 0.25) + np.diag([0.5] * 6))),
         ],
     )
@@ -190,7 +196,7 @@ class TestRoundRobin:
         assert got[1:] == want[1:]
 
     def test_overflow_guard_in_a_round(self):
-        a = harmonic_float_matrix(cycle(9))
+        a = harmonic_floats(cycle(9))
         a[0, 4] = a[4, 0] = 1e-310
         a[2, 2] = 1.0
         with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -198,7 +204,7 @@ class TestRoundRobin:
 
     def test_agrees_with_cyclic_on_audit_grid(self):
         for g in audit_exact_polynomial_graphs():
-            a = harmonic_float_matrix(g)
+            a = harmonic_floats(g)
             got = jacobi_eigenvalues(a)[0]
             want = cyclic_jacobi_eigenvalues(a)[0]
             assert np.max(np.abs(got - want), initial=0.0) < 1e-13, g
@@ -213,7 +219,7 @@ def _equal_diagonal(n: int) -> np.ndarray:
 
 def _overflow_guard(n: int) -> np.ndarray:
     # The matrix of TestRoundRobin.test_overflow_guard_in_a_round.
-    a = harmonic_float_matrix(cycle(n))
+    a = harmonic_floats(cycle(n))
     a[0, 4] = a[4, 0] = 1e-310
     a[2, 2] = 1.0
     return a
@@ -248,7 +254,7 @@ class TestStackedJacobi:
     def test_seeded_random_graphs(self, n):
         rng = random.Random(n)
         stack = [
-            harmonic_float_matrix(random_graph(rng, n, p))
+            harmonic_floats(random_graph(rng, n, p))
             for p in (0.05, 0.15, 0.3, 0.5, 0.7, 0.9)
             for _ in range(2)
         ]
@@ -259,12 +265,12 @@ class TestStackedJacobi:
         rng = random.Random(n)
         isolated = disjoint_union([random_graph(rng, n - 2, 0.6), build_graph(2, [])])
         stack = [
-            harmonic_float_matrix(random_graph(rng, n, 0.5)),
+            harmonic_floats(random_graph(rng, n, 0.5)),
             np.zeros((n, n)),
             np.diag(np.arange(1.0, n + 1.0)),
             special(n),
-            harmonic_float_matrix(isolated),
-            harmonic_float_matrix(random_graph(rng, n, 0.2)),
+            harmonic_floats(isolated),
+            harmonic_floats(random_graph(rng, n, 0.2)),
         ]
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             got = _assert_stack_matches_reference(stack)
@@ -272,7 +278,7 @@ class TestStackedJacobi:
 
     def test_tolerance_and_max_sweeps_per_member(self, monkeypatch):
         rng = random.Random(3)
-        stack = [harmonic_float_matrix(random_graph(rng, 12, 0.4)) for _ in range(6)]
+        stack = [harmonic_floats(random_graph(rng, 12, 0.4)) for _ in range(6)]
         _assert_stack_matches_reference(stack, **_stopping_rule(monkeypatch, 1e-6, 7))
 
     def test_order_zero(self):
@@ -285,7 +291,7 @@ class TestStackedJacobi:
 
     def test_input_unmodified(self):
         rng = random.Random(5)
-        stack = np.array([harmonic_float_matrix(random_graph(rng, 10, 0.5)) for _ in range(4)])
+        stack = np.array([harmonic_floats(random_graph(rng, 10, 0.5)) for _ in range(4)])
         before = stack.copy()
         jacobi_eigenvalues_stack(stack)
         assert stack.tobytes() == before.tobytes()
@@ -296,7 +302,7 @@ class TestStackedJacobi:
         one_round = np.zeros((4, 4))
         one_round[0, 3] = one_round[3, 0] = 0.5
         one_round[1, 2] = one_round[2, 1] = -0.25
-        dense = harmonic_float_matrix(complete(4)) + np.diag([0.1, 0.2, 0.3, 0.4])
+        dense = harmonic_floats(complete(4)) + np.diag([0.1, 0.2, 0.3, 0.4])
         with pytest.raises(JacobiConvergenceError) as want:
             round_robin_jacobi_eigenvalues(dense, max_sweeps=1)
         monkeypatch.setattr(spectrum_mod, "MAX_SWEEPS", 1)
@@ -317,13 +323,13 @@ class TestStackedJacobi:
         # graph with an isolated vertex pair; shuffled, so orders come in
         # no particular sequence.
         rng = random.Random(41)
-        stack = [harmonic_float_matrix(random_graph(rng, n, rng.choice((0.15, 0.5, 0.9)))) for n in range(41)]
+        stack = [harmonic_floats(random_graph(rng, n, rng.choice((0.15, 0.5, 0.9)))) for n in range(41)]
         stack += [
             np.zeros((7, 7)),
             np.diag(np.arange(1.0, 12.0)),
             _equal_diagonal(6),
             _overflow_guard(9),
-            harmonic_float_matrix(disjoint_union([random_graph(rng, 13, 0.6), build_graph(2, [])])),
+            harmonic_floats(disjoint_union([random_graph(rng, 13, 0.6), build_graph(2, [])])),
         ]
         rng.shuffle(stack)
         return stack
@@ -376,7 +382,7 @@ class TestStackedJacobi:
         chunk = spectrum_mod.BATCH_ENTRIES // (40 * 40)
         assert calls == [[5] * 7 + [40] * (chunk - 7), [40] * (28 - chunk)]
         for g, report in zip(graphs, reports):
-            eig, off, sweeps = round_robin_jacobi_eigenvalues(harmonic_float_matrix(g))
+            eig, off, sweeps = round_robin_jacobi_eigenvalues(harmonic_floats(g))
             assert report.graph6 == encode_graph6(g)
             assert np.array(report.spectrum.eigenvalues).tobytes() == eig.tobytes()
             assert (report.spectrum.off_norm, report.spectrum.sweeps) == (off, sweeps)
