@@ -79,12 +79,7 @@ def enumerate_regular(n: int, d: int) -> list[Graph]:
         labeled = (complement(Graph(n, adj)) for adj in _labeled_regular(n, n - 1 - d))
     else:
         labeled = (Graph(n, adj) for adj in _labeled_regular(n, d))
-    reps: dict[str, Graph] = {}
-    for g in labeled:
-        key = canonical_form(g)
-        if key not in reps:
-            reps[key] = decode_graph6(key)
-    return [reps[k] for k in sorted(reps)]
+    return [decode_graph6(key) for key in sorted({canonical_form(g) for g in labeled})]
 
 
 def _labeled_regular(n: int, d: int):

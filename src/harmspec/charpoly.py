@@ -813,10 +813,10 @@ def factored_display(p: RatPoly) -> str:
     if q.degree >= 1:
         body = poly_text(q)
         parts.append(f"({body})" if parts else body)
-    elif q != RatPoly.one() or not parts:
-        # Constant factor left over (non-monic input or constant poly).
-        parts.insert(0, str(q.coeffs[0]) if not q.is_zero else "0")
-    return "".join(parts) if parts else "1"
+    elif q != RatPoly.one():
+        # Constant factor left over (non-monic input).
+        parts.insert(0, str(q.coeffs[0]))
+    return "".join(parts)
 
 
 def poly_json(p: RatPoly) -> dict:

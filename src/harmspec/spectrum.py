@@ -7,21 +7,22 @@ sweep annihilates every off-diagonal pair once, in n - 1 rounds of n/2
 disjoint pairs (n rounds for odd n); the rotations of a round are applied
 together as one column update and one row update.
 
-The solver takes a stack of matrices of any orders, zero-padded to the
-largest, and does round r of every matrix in the stack with the same
-numpy calls; a matrix of order n takes part only in the rounds of its own
-n-order schedule. At the orders used here the time of a round is the
-overhead of its ~50 calls, not their arithmetic, so a stack of k matrices
-costs far less than k solves. harmonic_energies sorts its graphs by order
-and cuts them into stacks with order_batches, the rule by which the
-characteristic polynomial kernel cuts its calls too. Each matrix keeps
-its own live pairs, and its Frobenius threshold, off-diagonal norm and
-sweep count come from its own n x n block. It leaves the stack once its
-off-diagonal norm is at or below its threshold; its arithmetic, and so
-every bit of its results, is the same in any stack as alone. A single
-matrix is a stack of one. The order is fixed and there is no
-randomization, so a given matrix always produces bit-identical output.
-A harmonic matrix is read as floats from its table, harmonic_entries.
+The solver zero-pads a stack of matrices of any orders once, to the
+largest, into one array w[row, k, col] kept for the whole solve, and does
+round r of every matrix with the same numpy calls, from round tables built
+once; a matrix of order n takes part only in the rounds of its own n-order
+schedule. At the orders used here the time of a round is the overhead of
+its ~50 calls, not their arithmetic, so a stack of k matrices costs far
+less than k solves. harmonic_energies sorts its graphs by order and cuts
+them into stacks with order_batches, the rule by which the characteristic
+polynomial kernel cuts its calls too. Each matrix keeps its own live
+pairs, and its Frobenius threshold, off-diagonal norm and sweep count come
+from its own n x n block. Once its off-diagonal norm is at or below its
+threshold, its pairs leave the round tables; its arithmetic, and so every
+bit of its results, is the same in any stack as alone. A single matrix is
+a stack of one. The order is fixed and there is no randomization, so a
+given matrix always produces bit-identical output. A harmonic matrix is
+read as floats from its table, harmonic_entries.
 
 The stopping rule is fixed: a matrix is done once its off-diagonal norm is
 at most DEFAULT_TOL times its Frobenius norm, and JacobiConvergenceError
@@ -168,17 +169,14 @@ def _round_robin(n: int) -> np.ndarray:
     return rpq
 
 
-# The sweeps of a stack share one key until a member converges, so a few
-# entries serve a solve; each holds eight indices per pair of the stack.
-@functools.lru_cache(maxsize=8)
-def _stacked_rounds(orders: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+def _stacked_rounds(orders: Sequence[int]) -> list[np.ndarray]:
     """The rounds of one sweep for k matrices of the given orders, zero-
     padded to the largest order N and held as w[row, k, col]: round r pairs
     round r of _round_robin(n) of every member of order n that has one.
-    Per round: the flat indices into w of the entries (p, q), (q, p),
-    (p, p) and (q, q) of every pair, the indices of columns p and q in
-    w.reshape(N, k*N) and of rows p and q in w.reshape(N*k, N); first as
-    one 2-D array, for dropping dead pairs in one call, then as its rows."""
+    Each round is one 2-D array with a column per pair and nine rows: the
+    flat indices into w of the entries (p, q), (q, p), (p, p) and (q, q),
+    the indices of columns p and q in w.reshape(N, k*N) and of rows p and
+    q in w.reshape(N*k, N), and the pair's member."""
     k, n = len(orders), max(orders)
     tables = [_round_robin(order) for order in orders]
     R, P, Q = np.concatenate(tables, axis=1)
@@ -186,25 +184,24 @@ def _stacked_rounds(orders: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ..
     by_round = np.argsort(R, kind="stable")
     R, P, Q, K = R[by_round], P[by_round], Q[by_round], K[by_round]
     PK, QK = P * k + K, Q * k + K
-    index = np.stack([PK * n + Q, QK * n + P, PK * n + P, QK * n + Q, K * n + P, K * n + Q, PK, QK])
-    index.flags.writeable = False  # shared by every caller
-    cuts = np.flatnonzero(np.diff(R)) + 1
-    return tuple((part, *part) for part in np.split(index, cuts, axis=1))
+    index = np.stack([PK * n + Q, QK * n + P, PK * n + P, QK * n + Q, K * n + P, K * n + Q, PK, QK, K])
+    return np.split(index, np.flatnonzero(np.diff(R)) + 1, axis=1)
 
 
-def _sweep(w: np.ndarray, orders: tuple[int, ...]) -> None:
-    """One round-robin sweep, in place, over the stack w[row, k, col] of
-    matrices of the given orders, zero-padded to the largest. Within a
-    round, pairs whose entry is already 0.0 are left out."""
+def _sweep(w: np.ndarray, rounds: list[np.ndarray]) -> None:
+    """One round-robin sweep, in place, over the stack w[row, k, col] by
+    round tables of _stacked_rounds. Within a round, pairs whose entry is
+    already 0.0 are left out."""
     n, k, _ = w.shape
     flat, cols, rows = w.reshape(-1), w.reshape(n, k * n), w.reshape(n * k, n)
-    for index, pq, qp, pp, qq, col_p, col_q, row_p, row_q in _stacked_rounds(orders):
+    for index in rounds:
+        pq, qp, pp, qq, col_p, col_q, row_p, row_q, _ = index
         apq = flat[pq]
         if not apq.all():
             live = apq != 0.0
             if not live.any():
                 continue
-            pq, qp, pp, qq, col_p, col_q, row_p, row_q = index.compress(live, axis=1)
+            pq, qp, pp, qq, col_p, col_q, row_p, row_q, _ = index.compress(live, axis=1)
             apq = apq[live]
         diff = flat[qq] - flat[pp]
         # Where |apq| < 1e-36 |diff|, theta would overflow; the rotation
@@ -230,8 +227,9 @@ def _sweep(w: np.ndarray, orders: tuple[int, ...]) -> None:
 def jacobi_eigenvalues_stack(
     stack: Sequence[np.ndarray] | np.ndarray,
 ) -> list[tuple[np.ndarray, float, int]]:
-    """Round-robin Jacobi on a stack of k symmetric float matrices of any
-    orders, zero-padded to the largest. Every matrix gets the rounds, live
+    """Round-robin Jacobi on a stack of k square symmetric float matrices
+    of any orders (ValueError otherwise; an empty 1-D member has order 0),
+    zero-padded once to the largest. Every matrix gets the rounds, live
     pairs, threshold and sweep count it gets alone, so its results are
     bit-identical to a stack of one.
 
@@ -242,33 +240,37 @@ def jacobi_eigenvalues_stack(
     """
     mats = [np.asarray(m, dtype=float) for m in stack]
     for m in mats:
-        if m.size and (m.ndim != 2 or m.shape[0] != m.shape[1]):
+        if m.shape != (0,) and (m.ndim != 2 or m.shape[0] != m.shape[1]):
             raise ValueError(f"matrices must be square, got shape {m.shape}")
+        if not np.array_equal(m, m.T):
+            raise ValueError("matrix must be symmetric")
     orders = [len(m) for m in mats]
-    a = np.zeros((len(mats), max(orders, default=0), max(orders, default=0)))
-    for block, m in zip(a, mats):
-        block[: len(m), : len(m)] = m
+    w = np.zeros((max(orders, default=0), len(mats), max(orders, default=0)))
+    for i, m in enumerate(mats):
+        w[: len(m), i, : len(m)] = m
     thresholds = [DEFAULT_TOL * _norm(m) for m in mats]
     offs = [_norm(m, off=True) for m in mats]
     sweeps = [0] * len(mats)
     active = [i for i, (off, threshold) in enumerate(zip(offs, thresholds)) if off > threshold]
-    done = 0
+    rounds = _stacked_rounds(orders) if active else []
+    done, held = 0, len(mats)
     while active:
         if done >= MAX_SWEEPS:
             raise JacobiConvergenceError(offs[active[0]], done)
-        live = tuple(orders[i] for i in active)
-        size = max(live)
-        w = np.ascontiguousarray(a[active, :size, :size].transpose(1, 0, 2))
-        _sweep(w, live)
-        a[active, :size, :size] = w.transpose(1, 0, 2)
+        if len(active) < held:
+            keep = np.zeros(len(mats), dtype=bool)
+            keep[active] = True
+            rounds = [r for r in (r.compress(keep[r[-1]], axis=1) for r in rounds) if r.size]
+            held = len(active)
+        _sweep(w, rounds)
         done += 1
         for i in active:
-            offs[i] = _norm(a[i, : orders[i], : orders[i]], off=True)
+            offs[i] = _norm(w[: orders[i], i, : orders[i]], off=True)
             sweeps[i] = done
         active = [i for i in active if offs[i] > thresholds[i]]
     return [
-        (np.sort(block.diagonal()[:n])[::-1], off, count)
-        for block, n, off, count in zip(a, orders, offs, sweeps)
+        (np.sort(w[:n, i, :n].diagonal())[::-1], off, count)
+        for i, (n, off, count) in enumerate(zip(orders, offs, sweeps))
     ]
 
 
@@ -284,10 +286,7 @@ def jacobi_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, float, int]:
 
 def eigenvalues_symmetric(m: Sequence[Sequence[Fraction | int | float]]) -> Spectrum:
     """Spectrum of an exact symmetric matrix via the Jacobi solver."""
-    a = np.array(m, dtype=float)
-    if a.size and not np.array_equal(a, a.T):
-        raise ValueError("matrix must be symmetric")
-    eig, off, sweeps = jacobi_eigenvalues(a)
+    eig, off, sweeps = jacobi_eigenvalues(m)
     return Spectrum(tuple(float(x) for x in eig), off, sweeps)
 
 

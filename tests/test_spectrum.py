@@ -101,6 +101,13 @@ class TestEigensolver:
         with pytest.raises(ValueError, match="symmetric"):
             eigenvalues_symmetric([[0, 1], [2, 0]])
 
+    def test_empty_shapes(self):
+        # [] is the matrix of order 0; an empty grid of another shape is
+        # not square.
+        assert eigenvalues_symmetric([]) == Spectrum((), 0.0, 0)
+        with pytest.raises(ValueError, match=r"square, got shape \(1, 0\)"):
+            eigenvalues_symmetric([[]])
+
 
 def _eigvalsh_error(a: np.ndarray) -> float:
     eig, _, _ = jacobi_eigenvalues(a)
@@ -364,6 +371,35 @@ class TestStackedJacobi:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             jacobi_eigenvalues_stack([np.eye(3), np.zeros((2, 3))])
+
+    @pytest.mark.parametrize("member, message", [
+        (np.zeros((0, 5)), r"square, got shape \(0, 5\)"),
+        ([[]], r"square, got shape \(1, 0\)"),
+        ([[0.0, 1.0], [0.0, 0.0]], "must be symmetric"),
+    ], ids=["no_rows", "no_columns", "asymmetric"])
+    def test_bad_member_rejected(self, member, message):
+        # Each member is checked where the stack is built; [[0, 1], [0, 0]]
+        # has eigenvalues 0 and 0, which a symmetric solve cannot give.
+        with pytest.raises(ValueError, match=message):
+            jacobi_eigenvalues_stack([np.eye(3), member])
+        with pytest.raises(ValueError, match=message):
+            jacobi_eigenvalues(member)
+
+    def test_round_tables_built_once_per_solve(self, monkeypatch):
+        # The members converge at many different sweeps; each leaves the
+        # rounds of the one table set built for the solve.
+        calls = []
+        build = spectrum_mod._stacked_rounds
+
+        def spy(orders):
+            calls.append(list(orders))
+            return build(orders)
+
+        monkeypatch.setattr(spectrum_mod, "_stacked_rounds", spy)
+        stack = self._mixed_order_stack()
+        got = _assert_stack_matches_reference(stack)
+        assert len({sweeps for _, _, sweeps in got}) > 3
+        assert calls == [[len(a) for a in stack]]
 
     def test_chunks_in_input_order(self, monkeypatch):
         # Sorted by order, 7 graphs of order 5 and then 21 of order 40 fill
