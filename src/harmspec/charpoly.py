@@ -38,10 +38,10 @@ Computational Algebraic Number Theory", 2.2.4, and Dumas, Pernet and Wan,
 Rational roots come from the polynomial's integer numerators alone, by the
 p-adic search of Loos ("Computing rational zeros of integral polynomials by
 p-adic expansion", SIAM J. Comput. 12, 1983): the roots modulo a small
-prime are lifted by Newton's iteration until a fraction can be rebuilt
-from each, and exact division confirms it. The search finds every
-rational root at any degree and coefficient size; _split_rational_roots
-gives the argument.
+prime, of a few the one with the fewest, are lifted by Newton's iteration
+until a fraction can be rebuilt from each, and exact division confirms it.
+The search finds every rational root at any degree and coefficient size;
+_split_rational_roots gives the argument.
 """
 
 from __future__ import annotations
@@ -263,11 +263,13 @@ _PRIMES: list[int] = []
 # each lane zero-padded to the largest order N among them. order_batches
 # cuts the lanes, sorted by order, into kernel calls: PRIME_CHUNK lanes,
 # and more while lanes * N^2 stays within BATCH_ENTRIES, the entries of 16
-# lanes of order 40; from order 40 up every call holds PRIME_CHUNK lanes.
-# Larger calls spend less time in per-call numpy overhead but hold larger
-# arrays: all primes in one call made `harmspec charpoly` on six G(n, p)
-# graphs with n <= 40 about a third faster and raised its peak memory by 9%.
-PRIME_CHUNK = 16
+# lanes of order 40; from order 40 up every call holds 64 lanes, so the
+# 17 to 49 primes of a random graph of order 40 take one call, and each
+# call pays a fixed numpy overhead per column, about 2 ms at order 40.
+# A call of 64 lanes holds its residues and the kernel's arrays, about as
+# large again: 1.8 MiB at order 40, 10 MiB at order 100 and 40 MiB at
+# order 200.
+PRIME_CHUNK = 64
 
 
 def _is_prime(m: int) -> bool:
@@ -451,7 +453,15 @@ def _hessenberg_char_poly(h: np.ndarray, primes: list[int]) -> np.ndarray:
             h[lanes, :, pair] = h[lanes, :, pair[::-1]]
         inv = [pow(x, -1, m) if x else 0 for x, m in zip(h[:, j + 1, j].tolist(), primes)]
         u = h[:, j + 2:, j] * np.array(inv, dtype=np.int64)[:, None] % q
-        h[:, j + 2:, j:] = (h[:, j + 2:, j:] - u[:, :, None] * h[:, None, j + 1, j:]) % q[:, :, None]
+        # The row update holds one contiguous temporary, freed before the
+        # next column's, and writes its result into h. Arithmetic in place
+        # on the strided rows, or in a strided slice of one buffer kept for
+        # all columns, is 10-25% slower.
+        rows = h[:, j + 2:, j:]
+        diff = u[:, :, None] * h[:, None, j + 1, j:]
+        np.subtract(rows, diff, out=diff)
+        np.remainder(diff, q[:, :, None], out=rows)
+        del diff
         col = _matmul_mod(u[:, None, :], h[:, :, j + 2:].transpose(0, 2, 1), q)
         h[:, :, j + 1] = (h[:, :, j + 1] + col[:, 0]) % q
 
@@ -650,6 +660,18 @@ def graph_char_poly(g: Graph) -> RatPoly:
 # ---------------------------------------------------------------------------
 
 
+# How many primes the root search evaluates f at before it picks one. A
+# polynomial with no rational root mostly has no root modulo some small
+# prime too, and such a prime ends the search without a lift, the costly
+# step (about 1 ms to the 2,000 bits of an order-40 graph's polynomial);
+# when every prime has roots, the one with the fewest needs the fewest
+# lifts. On the polynomials of 75 random graphs of orders 10 to 60, windows
+# of 1, 4, 8 and 16 primes left 208, 32, 20 and 18 lifts, 18 of them of
+# rational roots; 8 took the least time, since evaluating every residue of
+# 8 primes in one pass costs about as much as one prime's.
+ROOT_PRIMES = 8
+
+
 def rational_roots(p: RatPoly) -> list[tuple[Fraction, int]]:
     """Rational roots of p with multiplicities, in descending order. None
     is missed, whatever p's degree and coefficients."""
@@ -667,10 +689,13 @@ def _split_rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
     |f_0|/(b q^k) of x/q^k, while any other fraction of denominator at most
     |f_n| lies at least 1/(b |f_n|) from t/b. So once q^k > 2 |f_0| |f_n|,
     limit_denominator(|f_n|) returns t/b for x/q^k, and b x reduced modulo
-    q^k into (-q^k/2, q^k/2] is a. The prime q is the first above deg f
-    that divides neither f_0 nor f_n, so b is a unit modulo q and every
-    root lies in the class of a root r of f modulo q, found by evaluating f
-    at every residue. Let mu be the least j >= 1 with T_j(r) != 0 mod q,
+    q^k into (-q^k/2, q^k/2] is a. What follows holds for any prime q above
+    deg f that divides neither f_0 nor f_n: b is a unit modulo q, so every
+    root lies in the class of a root r of f modulo q. f is evaluated at
+    every residue of the first ROOT_PRIMES such primes at once; if one of
+    them has no root, neither has f, and the search ends without a lift.
+    Otherwise it runs on the prime with the fewest roots, the first of
+    them on a tie. Let mu be the least j >= 1 with T_j(r) != 0 mod q,
     where T_j = f^(j)/j! is an integer polynomial; the roots in r's class
     number at most mu with multiplicity. As q > mu, r is a simple root of
     T_{mu-1} modulo q, whose derivative is mu T_mu, and Newton's iteration
@@ -682,27 +707,27 @@ def _split_rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
     T_j(x) d^j, where the term j = mu has q-adic valuation mu v(d) and
     every other term a larger one unless v(d) >= k, so y is congruent to x
     modulo q^k and is the candidate. If some T_j does not vanish, the
-    search runs again on the cofactor with the next such prime. Only the
-    finitely many primes at which two distinct roots of f meet can leave a
-    class unresolved, so the search ends.
+    search runs again on the cofactor with the next ROOT_PRIMES such
+    primes. Only the finitely many primes at which two distinct roots of f
+    meet can leave a class unresolved, so the search ends.
     """
     zeros = next((i for i, c in enumerate(p.numerators) if c), 0)
     roots = [(Fraction(0), zeros)] if zeros else []
     ints = p.numerators[zeros:]
-    scale, q, resolved = 1, len(ints) - 1, False
+    scale, last, resolved = 1, len(ints) - 1, False
     while len(ints) > 1 and not resolved:
         f = ints
-        q = next(m for m in itertools.count(q + 1) if f[0] % m and f[-1] % m and _is_prime(m))
+        window = list(itertools.islice(
+            (m for m in itertools.count(last + 1) if f[0] % m and f[-1] % m and _is_prime(m)),
+            ROOT_PRIMES))
+        last = window[-1]
+        q, residues = min(zip(window, _residue_roots(f, window)), key=lambda pair: len(pair[1]))
         bound = 2 * abs(f[0] * f[-1])
         k, modulus = 1, q
         while modulus <= bound:
             k, modulus = k + 1, modulus * q
-        residues = np.arange(q, dtype=np.int64)
-        values = np.zeros(q, dtype=np.int64)
-        for c in reversed(f):
-            values = (values * residues + c % q) % q
         resolved = True
-        for r in np.flatnonzero(values == 0).tolist():
+        for r in residues:
             mu = next(j for j in itertools.count(1) if _horner(_taylor(f, j), r, q))
             g, dg = _taylor(f, mu - 1), [mu * c for c in _taylor(f, mu)]
             x = _lift(g, dg, r, q, 1, k)
@@ -710,11 +735,8 @@ def _split_rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
             a = b * x % modulus
             cand = Fraction(a - modulus if 2 * a > modulus else a, b)
             mult = 0
-            while len(ints) > 1:
-                try:
-                    ints = _deflate_ints(ints, cand)
-                except ArithmeticError:
-                    break
+            while len(ints) > 1 and (quotient := _deflate_ints(ints, cand)) is not None:
+                ints = quotient
                 mult += 1
             if mult:
                 roots.append((cand, mult))
@@ -724,6 +746,19 @@ def _split_rational_roots(p: RatPoly) -> tuple[list[tuple[Fraction, int]], RatPo
                 x, m = _lift(g, dg, x, q, k, mu * k), modulus**mu
                 resolved &= not any(_horner(_taylor(f, j), x, m) for j in range(mu - 1))
     return sorted(roots, reverse=True), _polynomial([c * scale for c in ints], p.denominator)
+
+
+def _residue_roots(f: Sequence[int], primes: list[int]) -> list[list[int]]:
+    """The roots of the integer polynomial f modulo each prime, from one
+    vectorised Horner pass over every residue of all the primes."""
+    residues = np.concatenate([np.arange(q, dtype=np.int64) for q in primes])
+    lane = np.repeat(np.arange(len(primes)), primes)
+    moduli = np.array(primes, dtype=np.int64)[lane]
+    values = np.zeros(len(lane), dtype=np.int64)
+    for c in reversed(f):
+        values = (values * residues + np.array([c % m for m in primes], dtype=np.int64)[lane]) % moduli
+    hits = np.flatnonzero(values == 0)
+    return [residues[hits[lane[hits] == i]].tolist() for i in range(len(primes))]
 
 
 def _taylor(f: Sequence[int], j: int) -> list[int]:
@@ -752,22 +787,21 @@ def _lift(g: Sequence[int], dg: Sequence[int], x: int, q: int, e: int, k: int) -
     return x
 
 
-def _deflate_ints(ints: Sequence[int], root: Fraction) -> list[int]:
+def _deflate_ints(ints: Sequence[int], root: Fraction) -> list[int] | None:
     """Exact division of the integer polynomial A by (b x - a), for root =
-    a/b in lowest terms; A(root) must be 0. By Gauss's lemma the quotient
-    has integer coefficients when the division is exact, so each step
-    divides by b in integers and stops at the first remainder."""
+    a/b in lowest terms, or None if root is not a root of A. By Gauss's
+    lemma the quotient has integer coefficients when the division is exact,
+    so each step divides by b in integers and stops at the first
+    remainder."""
     a, b = root.numerator, root.denominator
     out = []
-    acc = rem = 0
+    acc = 0
     for c in reversed(ints[1:]):
         acc, rem = divmod(c + a * acc, b)
         if rem:
-            break
+            return None
         out.append(acc)
-    if rem or ints[0] + a * acc:
-        raise ArithmeticError(f"deflation by {root} left a remainder: lost exactness")
-    return out[::-1]
+    return None if ints[0] + a * acc else out[::-1]
 
 
 def poly_text(p: RatPoly) -> str:

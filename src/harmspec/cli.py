@@ -255,6 +255,20 @@ _HANDLERS = {**dict.fromkeys(_GRAPH_COMMANDS, _cmd_graphs), "census": _cmd_censu
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Exact outputs print integers of any length: Python 3.10.7 and later
+    # refuse to convert one of more than 4,300 digits to decimal unless
+    # the limit is lifted, which main does while it runs.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from harmspec.graphs import Graph, build_graph
+
+# Property tests draw the same examples on every run, so a test passes or
+# fails the same way each time. HARMSPEC_HYPOTHESIS=explore draws new
+# random examples instead and keeps failing ones in .hypothesis/ to replay.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+settings.load_profile(os.environ.get("HARMSPEC_HYPOTHESIS", "tier1"))
 
 
 @st.composite
@@ -714,3 +725,29 @@ def cubic10():
     from harmspec.census import cached_census
 
     return cached_census(10, 3)
+
+
+def big_non_square() -> int:
+    """A non-square integer of 5,000 digits, beyond Python's default limit
+    of 4,300 for int-to-decimal conversion, that is 1 modulo every prime
+    below 1000 and so a square modulo each."""
+    step = math.prod(m for m in range(2, 1000) if all(m % d for d in range(2, math.isqrt(m) + 1)))
+    n = 1 + step * (10**4999 // step + 1)
+    while math.isqrt(n) ** 2 == n:
+        n += step
+    return n
+
+
+@contextlib.contextmanager
+def any_size_ints():
+    """Lift the interpreter's int-to-decimal digit limit (Python >= 3.10.7)
+    inside the block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)

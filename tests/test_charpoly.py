@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -51,6 +52,7 @@ from harmspec.spectrum import BATCH_ENTRIES
 from conftest import (
     FractionPoly,
     audit_exact_polynomial_graphs,
+    big_non_square,
     divisor_rational_roots,
     exact_det,
     faddeev_leverrier_char_poly,
@@ -390,17 +392,15 @@ class TestDisplay:
         p = (X - 1) * (X + HALF) ** 2
         assert rational_roots(p) == [(Fraction(1), 1), (Fraction(-1, 2), 2)]
 
-    def test_deflate_by_non_root_raises(self):
-        # x^2 - 1 leaves remainder 3 at x = 2; this must survive python -O.
-        with pytest.raises(ArithmeticError, match="lost exactness"):
-            _deflate_ints(RatPoly((-1, 0, 1)).numerators, Fraction(2))
+    def test_deflate_by_non_root_returns_none(self):
+        # x^2 - 1 leaves remainder 3 at x = 2.
+        assert _deflate_ints(RatPoly((-1, 0, 1)).numerators, Fraction(2)) is None
 
     @pytest.mark.parametrize("p, root", [((0, 0, 1), HALF), ((1, 3, 2, 5), Fraction(-2, 3))])
-    def test_deflate_by_fraction_non_root_raises(self, p, root):
+    def test_deflate_by_fraction_non_root_returns_none(self, p, root):
         # Integer division by (b x - a) must check every step's remainder:
         # λ^2 at 1/2 leaves none at the last step once the others are dropped.
-        with pytest.raises(ArithmeticError, match="lost exactness"):
-            _deflate_ints(RatPoly(p).numerators, root)
+        assert _deflate_ints(RatPoly(p).numerators, root) is None
 
     def test_deflate_inverts_multiplication(self):
         rng = random.Random(17)
@@ -509,7 +509,8 @@ class TestRationalRoots:
         # A denominator above 10^5, which no rounding of a float spectrum
         # to denominators of at most 10^5 can find.
         ((X - Fraction(1, 100019)) * (X - 2), [(Fraction(2), 1), (Fraction(1, 100019), 1)]),
-        # 1 and 4 meet modulo 3, the first prime tried; 5 parts them.
+        # 1 and 4 meet modulo 3, the window's prime with the fewest roots;
+        # the next window parts them.
         ((X - 1) * (X - 4), [(Fraction(4), 1), (Fraction(1), 1)]),
         # A root modulo every prime, each of multiplicity 2 and none rational.
         (((X * X - 2) * (X * X - 3) * (X * X - 6)) ** 2, []),
@@ -526,6 +527,55 @@ class TestRationalRoots:
         for root, mult in roots:
             product = product * (X - root) ** mult
         assert product * charpoly._split_rational_roots(p)[1] == p
+
+    def test_false_candidate_beyond_int_str_limit(self, monkeypatch):
+        # (2x - 1)(x^2 - N): x^2 - N has two roots modulo every prime of the
+        # window, and each lifts to a false candidate of about N's size.
+        n = big_non_square()
+        p = (2 * X - 1) * (X * X - n)
+        deflate = charpoly._deflate_ints
+        tried = []
+
+        def spy(ints, root):
+            tried.append(root)
+            return deflate(ints, root)
+
+        monkeypatch.setattr(charpoly, "_deflate_ints", spy)
+        roots, cofactor = charpoly._split_rational_roots(p)
+        assert roots == [(HALF, 1)]
+        assert cofactor == 2 * (X * X - n)
+        assert max(abs(root.numerator) for root in tried) >= 10**4300
+
+    @pytest.mark.parametrize("case", ["x^2-7", "G(40,0.5)"])
+    def test_root_free_prime_ends_search_without_lift(self, monkeypatch, case):
+        # Both have residue roots at the first prime above the degree that
+        # divides neither f_0 nor f_n, but none at some prime of the window.
+        if case == "x^2-7":
+            p = X * X - 7
+        else:
+            p = graph_char_poly(random_graph(random.Random(1), 40, 0.5))
+        f = p.numerators
+        eligible = (m for m in itertools.count(len(f))
+                    if f[0] % m and f[-1] % m and charpoly._is_prime(m))
+        window = list(itertools.islice(eligible, charpoly.ROOT_PRIMES))
+        per_prime = charpoly._residue_roots(f, window)
+        assert per_prime[0] and [] in per_prime
+        lift = charpoly._lift
+        lifts = []
+
+        def spy(*args):
+            lifts.append(args)
+            return lift(*args)
+
+        monkeypatch.setattr(charpoly, "_lift", spy)
+        assert rational_roots(p) == []
+        assert lifts == []
+
+    def test_residue_roots_match_direct_evaluation(self):
+        f = (3 * X - 1) * (X - 4) * (X * X + 1)
+        primes = [5, 7, 11, 13]
+        assert charpoly._residue_roots(f.numerators, primes) == [
+            [r for r in range(q) if charpoly._horner(f.numerators, r, q) == 0] for q in primes]
 
     @given(planted_matrix())
     @settings(max_examples=40, deadline=None)
@@ -878,7 +928,7 @@ class TestStackedCharPolys:
         graphs = audit_exact_polynomial_graphs()
         calls = _spy_kernel(monkeypatch)
         graph_char_polys(graphs)
-        assert [shape[1] for shape, _, _ in calls] == [12, 25]
+        assert [shape[:2] for shape, _, _ in calls] == [(170, 12), (31, 25)]
         assert all(_within_budget(shape) for shape, _, _ in calls)
         assert sum(len(primes) for _, primes, _ in calls) == sum(
             len(charpoly._modular_plan(*harmonic_entries(g)).moduli) for g in graphs)
@@ -890,6 +940,15 @@ class TestStackedCharPolys:
         char_poly(m)
         assert [shape for shape, _, _ in calls] == (
             [(charpoly.PRIME_CHUNK, 40, 40)] * full + [(rest, 40, 40)] * bool(rest))
+
+    @pytest.mark.parametrize("p", [0.15, 0.5])
+    def test_order_40_graph_takes_one_call(self, monkeypatch, p):
+        # Seed-1 G(40, p) has 17 and 49 lanes, all in one kernel call.
+        g = random_graph(random.Random(1), 40, p)
+        calls = _spy_kernel(monkeypatch)
+        graph_char_poly(g)
+        lanes = len(charpoly._modular_plan(*harmonic_entries(g)).moduli)
+        assert [shape for shape, _, _ in calls] == [(lanes, 40, 40)]
 
     def test_batch_equals_one_at_a_time(self):
         matrices = [harmonic_matrix(g) for g in audit_exact_polynomial_graphs()]

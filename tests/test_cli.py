@@ -7,18 +7,19 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from harmspec import audit as audit_mod
-from harmspec import spectrum
+from harmspec import charpoly, cli, spectrum
 from harmspec.cli import build_parser, main
-from harmspec.graphs import decode_graph6, encode_graph6
+from harmspec.graphs import decode_graph6, degrees, encode_graph6, read_graph6_file
 from harmspec.harmonic import harmonic_matrix
 
-from conftest import random_graph
+from conftest import any_size_ints, big_non_square, random_graph
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,6 +108,50 @@ class TestCharpoly:
         payload = json.loads(out)
         validate(payload, "charpoly")
         assert payload["degree"] == 10
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="Python before 3.10.7 converts ints of any length")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficient_beyond_int_str_limit(self, capsys, monkeypatch, fmt):
+        # A stand-in polynomial with 5,000-digit coefficients: a graph's
+        # has them only from about order 170 up.
+        n = big_non_square()
+        x = charpoly.RatPoly.x()
+        p = (2 * x - 1) * (x * x - n)
+        monkeypatch.setattr(cli, "graph_char_polys", lambda graphs: [p for _ in graphs])
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "charpoly", "--family", "path", "--n", "3", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        with any_size_ints():
+            if fmt == "text":
+                assert out == f"2 λ^3 - λ^2 - {2 * n} λ + {n}\n  = (λ - 1/2)(2 λ^2 - {2 * n})\n"
+            else:
+                payload = json.loads(out)
+                assert [c["num"] for c in payload["coefficients"]] == [n, -2 * n, -1, 2]
+                assert payload["factored"] == f"(λ - 1/2)(2 λ^2 - {2 * n})"
+
+    @pytest.mark.slow
+    def test_order170_prints_whole(self, capsys):
+        # Seed-1 G(170, 0.5): its largest coefficients have more than 4,300
+        # digits.
+        src = DATA / "large" / "gnp_170_seed1.g6"
+        (g,) = read_graph6_file(str(src))
+        assert g == random_graph(random.Random(1), 170, 0.5)
+        code, out, err = run(capsys, "charpoly", "--from-file", str(src), "--format", "json")
+        assert (code, err) == (0, "")
+        code, text, err = run(capsys, "charpoly", "--from-file", str(src))
+        assert (code, err) == (0, "")
+        cp = charpoly.graph_char_poly(g)
+        with any_size_ints():
+            payload = json.loads(out)
+            assert text == f"{charpoly.poly_text(cp)}\n  = {payload['factored']}\n"
+        coeffs = [Fraction(c["num"], c["den"]) for c in payload["coefficients"]]
+        assert charpoly.RatPoly(coeffs) == cp
+        assert max(abs(c.numerator) for c in coeffs) >= 10**4300
+        assert coeffs[169] == 0
+        degs = degrees(g)
+        assert coeffs[168] == -sum(Fraction(2, degs[u] + degs[v]) ** 2 for u, v in g.edges())
 
     @pytest.mark.parametrize("n,p", [(20, 0.15), (20, 0.5), (40, 0.15), (40, 0.5)])
     def test_random_graph_time_bound(self, capsys, tmp_path, n, p):

@@ -551,8 +551,10 @@ class TestErrorBounds:
     def test_formula(self):
         # ||A||_F = 5, HE = 7, n = 2, 3 sweeps.
         e, energy = error_bounds(Spectrum((3.0, -4.0), 1e-13, 3))
-        assert e == pytest.approx(1e-13 + 12 * 2 * 3 * UNIT_ROUNDOFF * 5, rel=1e-15)
-        assert energy == pytest.approx(math.sqrt(2) * e + 2 * UNIT_ROUNDOFF * 7, rel=1e-15)
+        # abs=0: pytest.approx's default abs=1e-12 would accept any e below
+        # it, even 0.0.
+        assert e == pytest.approx(1e-13 + 12 * 2 * 3 * UNIT_ROUNDOFF * 5, rel=1e-15, abs=0)
+        assert energy == pytest.approx(math.sqrt(2) * e + 2 * UNIT_ROUNDOFF * 7, rel=1e-15, abs=0)
         assert error_bounds(Spectrum((), 0.0, 0)) == (0.0, 0.0)
 
     @pytest.mark.parametrize("source, count", [
