@@ -33,7 +33,6 @@ from .graphs import (
 )
 from .harmonic import harmonic_index, harmonic_matrix
 from .spectrum import (
-    EnergyReport,
     Spectrum,
     eigenvalues_symmetric,
     harmonic_energies,
@@ -46,7 +45,6 @@ __all__ = [
     "AuditResult",
     "CensusRecord",
     "EnergyClass",
-    "EnergyReport",
     "Graph",
     "Graph6Error",
     "RatPoly",

@@ -71,7 +71,7 @@ from .families import (
     star,
 )
 from .graphs import Graph, disjoint_union
-from .spectrum import UNIT_ROUNDOFF, EnergyReport, error_bounds, harmonic_energies
+from .spectrum import UNIT_ROUNDOFF, Spectrum, error_bounds, harmonic_energies
 
 EXACT_MATCH = "EXACT-MATCH"
 NUMERIC_MATCH = "NUMERIC-MATCH"
@@ -99,13 +99,13 @@ class AuditResult:
 @dataclass(frozen=True)
 class Job:
     """What one grid point of a check needs and how its verdict follows:
-    ``finish(reports, cps)`` gets the energy reports of the graphs in
-    ``spectra`` and the exact characteristic polynomials of the graphs in
+    ``finish(spectra, cps)`` gets the spectra of the graphs in ``spectra``
+    and the exact characteristic polynomials of the graphs in
     ``charpolys``, in order, and returns the verdict and its evidence."""
 
     spectra: tuple[Graph, ...]
     charpolys: tuple[Graph, ...]
-    finish: Callable[[list[EnergyReport], list[RatPoly]], tuple[str, dict]]
+    finish: Callable[[list[Spectrum], list[RatPoly]], tuple[str, dict]]
 
 
 @dataclass(frozen=True)
@@ -124,11 +124,11 @@ def _numeric(ok: bool) -> str:
     return NUMERIC_MATCH if ok else MISMATCH
 
 
-def _slack(solved: Iterable, claimed: float) -> float:
-    """How far a float compared with the energies of ``solved`` (energy
-    reports or census records) may be from it while the two agree: the sum
-    of their energy bounds, plus the rounding of the claimed float."""
-    return math.fsum(error_bounds(r.spectrum)[1] for r in solved) + UNIT_ROUNDOFF * abs(claimed)
+def _slack(spectra: Iterable[Spectrum], claimed: float) -> float:
+    """How far a float compared with the energies of ``spectra`` may be
+    from it while the two agree: the sum of their energy bounds, plus the
+    rounding of the claimed float."""
+    return math.fsum(error_bounds(s)[1] for s in spectra) + UNIT_ROUNDOFF * abs(claimed)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def _slack(solved: Iterable, claimed: float) -> float:
 
 def _exact_polynomial(case: Callable, **params: int) -> Job:
     claimed, g = case(**params)
-    return Job((), (g,), lambda reports, cps: _residual_evidence(
+    return Job((), (g,), lambda spectra, cps: _residual_evidence(
         claimed - cps[0], claimed=poly_text(claimed)))
 
 
@@ -155,22 +155,22 @@ def _residual_evidence(residual: RatPoly, **evidence) -> tuple[str, dict]:
 
 def _numeric_energy(case: Callable, **params: int) -> Job:
     claimed, g = case(**params)
-    return Job((g,), (), lambda reports, cps: _energy_evidence(claimed, reports[0]))
+    return Job((g,), (), lambda spectra, cps: _energy_evidence(claimed, spectra[0]))
 
 
-def _energy_evidence(claimed: float, report: EnergyReport) -> tuple[str, dict]:
-    delta = abs(report.he - claimed)
-    evidence = {"claimed": claimed, "computed": report.he, "delta": delta}
-    return _numeric(delta <= _slack([report], claimed)), evidence
+def _energy_evidence(claimed: float, spectrum: Spectrum) -> tuple[str, dict]:
+    delta = abs(spectrum.he - claimed)
+    evidence = {"claimed": claimed, "computed": spectrum.he, "delta": delta}
+    return _numeric(delta <= _slack([spectrum], claimed)), evidence
 
 
 def _inequality(case: Callable, **params: int) -> Job:
     bound, g = case(**params)
 
-    def finish(reports, cps):
-        margin = reports[0].he - bound
-        evidence = {"bound": bound, "computed": reports[0].he, "margin": margin}
-        return _numeric(margin >= -_slack(reports, bound)), evidence
+    def finish(spectra, cps):
+        margin = spectra[0].he - bound
+        evidence = {"bound": bound, "computed": spectra[0].he, "margin": margin}
+        return _numeric(margin >= -_slack(spectra, bound)), evidence
 
     return Job((g,), (), finish)
 
@@ -197,10 +197,10 @@ def _friendship_energy(n: int) -> Job:
     # absolute sum is recorded alongside as corroborating evidence.
     eigensum = (2 * n - 1) / 2 + math.sqrt((n + 1) ** 2 + 32 * n) / (2 * (n + 1))
 
-    def finish(reports, cps):
-        verdict, evidence = _energy_evidence(float(n), reports[0])
+    def finish(spectra, cps):
+        verdict, evidence = _energy_evidence(float(n), spectra[0])
         evidence["proof_eigenvalue_sum"] = eigensum
-        evidence["proof_eigenvalue_sum_delta"] = abs(reports[0].he - eigensum)
+        evidence["proof_eigenvalue_sum_delta"] = abs(spectra[0].he - eigensum)
         return verdict, evidence
 
     return Job((friendship(n),), (), finish)
@@ -225,18 +225,18 @@ def _union_graphs(pair: int) -> tuple[str, tuple[Graph, Graph, Graph]]:
 
 def _union_charpoly(pair: int) -> Job:
     parts, graphs = _union_graphs(pair)
-    return Job((), graphs, lambda reports, cps: _residual_evidence(
+    return Job((), graphs, lambda spectra, cps: _residual_evidence(
         cps[2] - cps[0] * cps[1], parts=parts))
 
 
 def _union_energy(pair: int) -> Job:
     parts, graphs = _union_graphs(pair)
 
-    def finish(reports, cps):
-        he_sum, he_union = reports[0].he + reports[1].he, reports[2].he
+    def finish(spectra, cps):
+        he_sum, he_union = spectra[0].he + spectra[1].he, spectra[2].he
         delta = abs(he_union - he_sum)
         evidence = {"parts": parts, "sum": he_sum, "union": he_union, "delta": delta}
-        return _numeric(delta <= _slack(reports, he_sum)), evidence
+        return _numeric(delta <= _slack(spectra, he_sum)), evidence
 
     return Job(graphs, (), finish)
 
@@ -244,7 +244,7 @@ def _union_energy(pair: int) -> Job:
 def _census(verdict: Callable[[], tuple[str, dict]]) -> Callable[[], Job]:
     """A census-structure check: it needs nothing solved by the audit and
     reads the memoized order-10 cubic census for its verdict."""
-    return lambda: Job((), (), lambda reports, cps: verdict())
+    return lambda: Job((), (), lambda spectra, cps: verdict())
 
 
 def _petersen_index(records) -> int | None:
@@ -295,7 +295,7 @@ def _petersen_max() -> tuple[str, dict]:
     ok = (
         pet_index is not None
         and pet_index in top.members
-        and all(abs(r.he - 16.0 / 3.0) <= _slack([r], 16.0 / 3.0) for r in members)
+        and all(abs(r.he - 16.0 / 3.0) <= _slack([r.spectrum], 16.0 / 3.0) for r in members)
         and len(top.members) == 2
     )
     evidence = {
@@ -432,11 +432,11 @@ def _audit(points: list[tuple[Claim, dict[str, int]]]) -> list[AuditResult]:
     jobs = [claim.check(**params) for claim, params in points]
     spectra = list(dict.fromkeys(g for job in jobs for g in job.spectra))
     charpolys = list(dict.fromkeys(g for job in jobs for g in job.charpolys))
-    report = dict(zip(spectra, harmonic_energies(spectra)))
+    solved = dict(zip(spectra, harmonic_energies(spectra)))
     cp = dict(zip(charpolys, graph_char_polys(charpolys)))
     results = []
     for (claim, params), job in zip(points, jobs):
-        verdict, evidence = job.finish([report[g] for g in job.spectra], [cp[g] for g in job.charpolys])
+        verdict, evidence = job.finish([solved[g] for g in job.spectra], [cp[g] for g in job.charpolys])
         results.append(AuditResult(claim.id, tuple(sorted(params.items())), verdict, evidence))
     return results
 

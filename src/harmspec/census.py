@@ -44,8 +44,11 @@ class CensusRecord:
     index: int            # 1-based position in canonical output order
     graph6: str
     connected: bool
-    he: float
     spectrum: Spectrum
+
+    @property
+    def he(self) -> float:
+        return self.spectrum.he
 
 
 @dataclass(frozen=True)
@@ -379,14 +382,8 @@ def census_from_graphs(graphs: Sequence[Graph]) -> tuple[list[CensusRecord], lis
     """Census records and energy classes for an externally supplied list of
     graphs (one record per input, in input order)."""
     records = [
-        CensusRecord(
-            index=idx,
-            graph6=report.graph6,
-            connected=len(components(g)) <= 1,
-            he=report.he,
-            spectrum=report.spectrum,
-        )
-        for idx, (g, report) in enumerate(zip(graphs, harmonic_energies(graphs)), start=1)
+        CensusRecord(idx, encode_graph6(g), len(components(g)) <= 1, spectrum)
+        for idx, (g, spectrum) in enumerate(zip(graphs, harmonic_energies(graphs)), start=1)
     ]
     return records, energy_classes(records)
 
@@ -402,11 +399,12 @@ def energy_classes(records: Sequence[CensusRecord]) -> list[EnergyClass]:
     bounds come from spectrum.error_bounds. A tie is as good as the
     solver's bounds, not an exact certificate."""
     ranked = sorted(records, key=lambda r: (r.he, r.index))
+    energies = [r.he for r in ranked]
     bounds = [error_bounds(r.spectrum) for r in ranked]
     eigs = [r.spectrum.eigenvalues for r in ranked]
     groups: list[list[int]] = []
-    for i, rec in enumerate(ranked):
-        if i and rec.he - ranked[i - 1].he <= bounds[i - 1][1] + bounds[i][1]:
+    for i, he in enumerate(energies):
+        if i and he - energies[i - 1] <= bounds[i - 1][1] + bounds[i][1]:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -421,7 +419,7 @@ def energy_classes(records: Sequence[CensusRecord]) -> list[EnergyClass]:
         ]
         classes.append(
             EnergyClass(
-                he=sum(ranked[i].he for i in group) / len(group),
+                he=sum(energies[i] for i in group) / len(group),
                 members=tuple(ranked[i].index for i in by_index),
                 eigen_diffs=tuple(diffs),
             )
@@ -474,8 +472,14 @@ def truncate3(x: float) -> float:
 class ReferenceComparison:
     entries: tuple[tuple[float, float | None], ...]  # (reference, matched HE or None)
     unmatched_computed: tuple[float, ...]
-    match_count: int
-    total: int
+
+    @property
+    def match_count(self) -> int:
+        return sum(got is not None for _, got in self.entries)
+
+    @property
+    def total(self) -> int:
+        return len(self.entries)
 
 
 def compare_reference_table(records: Sequence[CensusRecord]) -> ReferenceComparison:
@@ -507,13 +511,9 @@ def compare_reference_table(records: Sequence[CensusRecord]) -> ReferenceCompari
                 matches[ri] = values[k]
                 break
             k += 1
-    entries = tuple((p, matches.get(i)) for i, p in enumerate(refs))
-    unmatched = tuple(v for v, u in zip(values, used) if not u)
     return ReferenceComparison(
-        entries=entries,
-        unmatched_computed=unmatched,
-        match_count=len(matches),
-        total=len(refs),
+        entries=tuple((p, matches.get(i)) for i, p in enumerate(refs)),
+        unmatched_computed=tuple(v for v, u in zip(values, used) if not u),
     )
 
 

@@ -805,7 +805,9 @@ def _deflate_ints(ints: Sequence[int], root: Fraction) -> list[int] | None:
 
 
 def poly_text(p: RatPoly) -> str:
-    """Expanded human-readable form, highest power first."""
+    """Expanded human-readable form, highest power first. An integer of
+    more than 4,300 digits prints only once sys.set_int_max_str_digits(0)
+    lifts Python's limit, as cli.main does while it runs."""
     if p.is_zero:
         return "0"
     parts = []
@@ -829,7 +831,9 @@ def poly_text(p: RatPoly) -> str:
 
 def factored_display(p: RatPoly) -> str:
     """Product of (λ - r)^m factors over the rational roots of p, times the
-    remaining factor, which has no rational root, printed expanded."""
+    remaining factor, which has no rational root, printed expanded. Like
+    poly_text, it prints an integer of more than 4,300 digits only once
+    sys.set_int_max_str_digits(0) lifts Python's limit."""
     if p.is_zero:
         return "0"
     if p.degree == 0:
@@ -854,7 +858,10 @@ def factored_display(p: RatPoly) -> str:
 
 
 def poly_json(p: RatPoly) -> dict:
-    """JSON-ready form: ascending coefficients as {num, den} objects."""
+    """JSON-ready form: ascending coefficients as {num, den} objects.
+    json.dumps writes an integer of more than 4,300 digits only once
+    sys.set_int_max_str_digits(0) lifts Python's limit, as cli.main does
+    while it runs."""
     return {
         "degree": p.degree,
         "coefficients": [

@@ -29,7 +29,7 @@ from .charpoly import factored_display, graph_char_polys, poly_json, poly_text
 from .families import FAMILIES, generate
 from .graphs import Graph, degrees, encode_graph6, read_graph6_file
 from .harmonic import harmonic_index, harmonic_matrix, matrix_json, matrix_text
-from .spectrum import JacobiConvergenceError, harmonic_energies, spectrum_json
+from .spectrum import JacobiConvergenceError, harmonic_energies
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,15 +80,18 @@ def _charpoly(args, graphs: list[Graph]):
 def _energy(args, graphs: list[Graph]):
     dec = args.decimals
     pairs = []
-    for report in harmonic_energies(graphs):
+    for code, spectrum in zip(map(encode_graph6, graphs), harmonic_energies(graphs)):
+        eig, off_norm, sweeps = spectrum.eigenvalues, spectrum.off_norm, spectrum.sweeps
+        he = spectrum.he
         # Adding 0.0 turns the -0.0 of a rounded-off zero eigenvalue into 0.0.
-        spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in report.spectrum.eigenvalues)
+        spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in eig)
         text = (
-            f"graph6: {report.graph6}\nHE = {report.he:.{dec}f}\nspectrum: [{spect}]\n"
-            f"method: jacobi, sweeps: {report.spectrum.sweeps}, "
-            f"off-norm: {report.spectrum.off_norm:.3e}"
+            f"graph6: {code}\nHE = {he:.{dec}f}\nspectrum: [{spect}]\n"
+            f"method: jacobi, sweeps: {sweeps}, off-norm: {off_norm:.3e}"
         )
-        pairs.append((text, spectrum_json(report)))
+        payload = {"graph6": code, "method": "jacobi", "he": he, "eigenvalues": list(eig),
+                   "off_norm": off_norm, "sweeps": sweeps}
+        pairs.append((text, payload))
     return pairs
 
 
@@ -255,11 +258,9 @@ _HANDLERS = {**dict.fromkeys(_GRAPH_COMMANDS, _cmd_graphs), "census": _cmd_censu
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Exact outputs print integers of any length: Python 3.10.7 and later
-    # refuse to convert one of more than 4,300 digits to decimal unless
-    # the limit is lifted, which main does while it runs.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv)
+    # Exact outputs print integers of any length: Python refuses to
+    # convert one of more than 4,300 digits to decimal unless the limit is
+    # lifted, which main does while it runs.
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -24,6 +24,11 @@ a stack of one. The order is fixed and there is no randomization, so a
 given matrix always produces bit-identical output. A harmonic matrix is
 read as floats from its table, harmonic_entries.
 
+Every solve returns Spectrum values: one per matrix of a stack, and
+harmonic_energies one per graph. Every output reads them; the harmonic
+energy HE is a Spectrum's property, computed from its eigenvalues and
+stored nowhere.
+
 The stopping rule is fixed: a matrix is done once its off-diagonal norm is
 at most DEFAULT_TOL times its Frobenius norm, and JacobiConvergenceError
 ends a solve that needs more than MAX_SWEEPS sweeps. No caller sets
@@ -35,13 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, encode_graph6
+from .graphs import Graph
 from .harmonic import harmonic_entries
 
 DEFAULT_TOL = 1e-12
@@ -64,23 +68,20 @@ class JacobiConvergenceError(RuntimeError):
         self.sweeps = sweeps
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted non-increasing, plus solver diagnostics."""
+class Spectrum(NamedTuple):
+    """The result of one Jacobi solve: the eigenvalues, as Python floats
+    sorted non-increasing, the final off-diagonal norm and the sweeps used.
+    As a tuple it unpacks as (eigenvalues, off_norm, sweeps), so no code may
+    iterate a Spectrum for its eigenvalues: they are ``eigenvalues``."""
 
     eigenvalues: tuple[float, ...]
     off_norm: float
     sweeps: int
 
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Harmonic energy of one graph: the energy value, the graph6
-    fingerprint of the input, and the full spectrum."""
-
-    he: float
-    graph6: str
-    spectrum: Spectrum
+    @property
+    def he(self) -> float:
+        """The harmonic energy: the sum of the absolute eigenvalues."""
+        return float(sum(abs(x) for x in self.eigenvalues))
 
 
 def error_bounds(spectrum: Spectrum) -> tuple[float, float]:
@@ -224,17 +225,14 @@ def _sweep(w: np.ndarray, rounds: list[np.ndarray]) -> None:
         flat[qp] = 0.0
 
 
-def jacobi_eigenvalues_stack(
-    stack: Sequence[np.ndarray] | np.ndarray,
-) -> list[tuple[np.ndarray, float, int]]:
+def jacobi_eigenvalues_stack(stack: Sequence[np.ndarray] | np.ndarray) -> list[Spectrum]:
     """Round-robin Jacobi on a stack of k square symmetric float matrices
     of any orders (ValueError otherwise; an empty 1-D member has order 0),
     zero-padded once to the largest. Every matrix gets the rounds, live
     pairs, threshold and sweep count it gets alone, so its results are
     bit-identical to a stack of one.
 
-    Returns one (eigenvalues sorted non-increasing, final off-diagonal norm,
-    sweeps used) triple per matrix. Raises JacobiConvergenceError for the
+    Returns one Spectrum per matrix. Raises JacobiConvergenceError for the
     first matrix whose off-diagonal norm is still above DEFAULT_TOL *
     ||a||_F after MAX_SWEEPS sweeps.
     """
@@ -269,55 +267,40 @@ def jacobi_eigenvalues_stack(
             sweeps[i] = done
         active = [i for i in active if offs[i] > thresholds[i]]
     return [
-        (np.sort(w[:n, i, :n].diagonal())[::-1], off, count)
+        Spectrum(tuple(np.sort(w[:n, i, :n].diagonal())[::-1].tolist()), off, count)
         for i, (n, off, count) in enumerate(zip(orders, offs, sweeps))
     ]
 
 
-def jacobi_eigenvalues(a: np.ndarray) -> tuple[np.ndarray, float, int]:
+def jacobi_eigenvalues(a: np.ndarray) -> Spectrum:
     """Round-robin Jacobi on one symmetric float matrix: a stack of one.
-
-    Returns (eigenvalues sorted non-increasing, final off-diagonal norm,
-    sweeps used). Raises JacobiConvergenceError when the off-diagonal norm
-    is still above DEFAULT_TOL * ||a||_F after MAX_SWEEPS sweeps.
+    Raises JacobiConvergenceError when the off-diagonal norm is still above
+    DEFAULT_TOL * ||a||_F after MAX_SWEEPS sweeps.
     """
     return jacobi_eigenvalues_stack([a])[0]
 
 
 def eigenvalues_symmetric(m: Sequence[Sequence[Fraction | int | float]]) -> Spectrum:
     """Spectrum of an exact symmetric matrix via the Jacobi solver."""
-    eig, off, sweeps = jacobi_eigenvalues(m)
-    return Spectrum(tuple(float(x) for x in eig), off, sweeps)
+    return jacobi_eigenvalues(m)
 
 
-def harmonic_energies(graphs: Sequence[Graph]) -> list[EnergyReport]:
-    """Harmonic energy of every graph, in input order. The graphs, sorted
-    by order, are cut into stacks by order_batches, each solved in one
-    call."""
+def harmonic_energies(graphs: Sequence[Graph]) -> list[Spectrum]:
+    """The spectrum of every graph's harmonic matrix, in input order; its
+    harmonic energy is the spectrum's ``he``. The graphs, sorted by order,
+    are cut into stacks by order_batches, each solved in one call."""
     by_order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
-    reports: list[EnergyReport | None] = [None] * len(graphs)
+    spectra: list[Spectrum | None] = [None] * len(graphs)
     for batch in order_batches([graphs[i].n for i in by_order]):
         chunk = by_order[batch]
         stack = [np.array(entries, dtype=float)[index]
                  for entries, index in (harmonic_entries(graphs[i]) for i in chunk)]
-        for i, (eig, off, sweeps) in zip(chunk, jacobi_eigenvalues_stack(stack)):
-            spec = Spectrum(tuple(float(x) for x in eig), off, sweeps)
-            he = float(sum(abs(x) for x in spec.eigenvalues))
-            reports[i] = EnergyReport(he, encode_graph6(graphs[i]), spec)
-    return reports
+        for i, spectrum in zip(chunk, jacobi_eigenvalues_stack(stack)):
+            spectra[i] = spectrum
+    return spectra
 
 
-def harmonic_energy(g: Graph) -> EnergyReport:
-    """Sum of absolute eigenvalues of the harmonic matrix."""
+def harmonic_energy(g: Graph) -> Spectrum:
+    """The spectrum of the harmonic matrix of g; its ``he`` is the sum of
+    the absolute eigenvalues."""
     return harmonic_energies([g])[0]
-
-
-def spectrum_json(report: EnergyReport) -> dict:
-    return {
-        "graph6": report.graph6,
-        "method": "jacobi",
-        "he": report.he,
-        "eigenvalues": list(report.spectrum.eigenvalues),
-        "off_norm": report.spectrum.off_norm,
-        "sweeps": report.spectrum.sweeps,
-    }

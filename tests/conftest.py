@@ -740,11 +740,7 @@ def big_non_square() -> int:
 
 @contextlib.contextmanager
 def any_size_ints():
-    """Lift the interpreter's int-to-decimal digit limit (Python >= 3.10.7)
-    inside the block."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
+    """Lift the interpreter's int-to-decimal digit limit inside the block."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

@@ -272,3 +272,15 @@ def test_energy_shifted_by_1e9_mismatches(monkeypatch, shift):
     results = [r for r in audit_all(c.id for c in rows) if r.key in matched]
     assert len(results) == 66
     assert {r.verdict for r in results} == {MISMATCH}
+
+
+def test_slack_covers_rounding_of_claim():
+    # HE = 1.5 and its energy bound E = 2 u HE = 3u, with u = 2^-53. The
+    # claim 1.5 + 2^-51 lies 4u from HE: beyond E, but within the slack
+    # E + u |claimed| = 4.5u that the claimed float's own rounding adds.
+    solved = spectrum.Spectrum((0.75, -0.75), 0.0, 0)
+    u = spectrum.UNIT_ROUNDOFF
+    assert spectrum.error_bounds(solved)[1] == 3 * u
+    verdict, evidence = audit._energy_evidence(1.5 + 2.0**-51, solved)
+    assert evidence["delta"] == 4 * u
+    assert verdict == NUMERIC_MATCH

@@ -565,7 +565,8 @@ class TestCubic10Structure:
 
 def _synthetic(index: int, he: float, off_norm: float) -> CensusRecord:
     # A spectrum (he/2, -he/2) after 3 sweeps, whose bounds off_norm sets.
-    return CensusRecord(index, "A?", False, he, Spectrum((he / 2, -he / 2), off_norm, 3))
+    # Halving and doubling are exact, so the record's he is he.
+    return CensusRecord(index, "A?", False, Spectrum((he / 2, -he / 2), off_norm, 3))
 
 
 class TestEnergyClasses:
