@@ -46,9 +46,11 @@ _split_rational_roots gives the argument.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -804,10 +806,23 @@ def _deflate_ints(ints: Sequence[int], root: Fraction) -> list[int] | None:
     return None if ints[0] + a * acc else out[::-1]
 
 
+@contextlib.contextmanager
+def any_size_ints() -> Iterator[None]:
+    """Lift Python's limit of 4,300 digits on int-to-decimal conversion
+    inside the block and restore the limit it found on the way out. As a
+    decorator it does so around each call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@any_size_ints()
 def poly_text(p: RatPoly) -> str:
-    """Expanded human-readable form, highest power first. An integer of
-    more than 4,300 digits prints only once sys.set_int_max_str_digits(0)
-    lifts Python's limit, as cli.main does while it runs."""
+    """Expanded human-readable form, highest power first, with integers of
+    any length."""
     if p.is_zero:
         return "0"
     parts = []
@@ -829,11 +844,11 @@ def poly_text(p: RatPoly) -> str:
     return " ".join(parts)
 
 
+@any_size_ints()
 def factored_display(p: RatPoly) -> str:
     """Product of (λ - r)^m factors over the rational roots of p, times the
-    remaining factor, which has no rational root, printed expanded. Like
-    poly_text, it prints an integer of more than 4,300 digits only once
-    sys.set_int_max_str_digits(0) lifts Python's limit."""
+    remaining factor, which has no rational root, printed expanded, with
+    integers of any length."""
     if p.is_zero:
         return "0"
     if p.degree == 0:
@@ -859,9 +874,9 @@ def factored_display(p: RatPoly) -> str:
 
 def poly_json(p: RatPoly) -> dict:
     """JSON-ready form: ascending coefficients as {num, den} objects.
-    json.dumps writes an integer of more than 4,300 digits only once
-    sys.set_int_max_str_digits(0) lifts Python's limit, as cli.main does
-    while it runs."""
+    json.dumps writes an integer of more than 4,300 digits only inside
+    any_size_ints, as cli.main runs; outside the CLI that is the caller's
+    concern."""
     return {
         "degree": p.degree,
         "coefficients": [

@@ -25,7 +25,7 @@ from .census import (
     records_csv,
     truncate3,
 )
-from .charpoly import factored_display, graph_char_polys, poly_json, poly_text
+from .charpoly import any_size_ints, factored_display, graph_char_polys, poly_json, poly_text
 from .families import FAMILIES, generate
 from .graphs import Graph, degrees, encode_graph6, read_graph6_file
 from .harmonic import harmonic_index, harmonic_matrix, matrix_json, matrix_text
@@ -55,49 +55,49 @@ def _add_output_args(sub: argparse.ArgumentParser, formats: tuple[str, ...]):
 
 
 def _gen(args, graphs: list[Graph]):
-    return [(code, {"graph6": code}) for code in map(encode_graph6, graphs)]
+    return [code if args.format == "text" else {"graph6": code} for code in map(encode_graph6, graphs)]
 
 
 def _matrix(args, graphs: list[Graph]):
-    return [(matrix_text(m), matrix_json(m)) for m in map(harmonic_matrix, graphs)]
+    form = matrix_text if args.format == "text" else matrix_json
+    return [form(harmonic_matrix(g)) for g in graphs]
 
 
 def _index(args, graphs: list[Graph]):
     return [
-        (str(h), {"harmonic_index": {"num": h.numerator, "den": h.denominator}})
+        str(h) if args.format == "text" else {"harmonic_index": {"num": h.numerator, "den": h.denominator}}
         for h in map(harmonic_index, graphs)
     ]
 
 
 def _charpoly(args, graphs: list[Graph]):
-    pairs = []
+    blocks = []
     for p in graph_char_polys(graphs):
         factored = factored_display(p)
-        pairs.append((f"{poly_text(p)}\n  = {factored}", {**poly_json(p), "factored": factored}))
-    return pairs
+        blocks.append(f"{poly_text(p)}\n  = {factored}" if args.format == "text"
+                      else {**poly_json(p), "factored": factored})
+    return blocks
 
 
 def _energy(args, graphs: list[Graph]):
     dec = args.decimals
-    pairs = []
+    blocks = []
     for code, spectrum in zip(map(encode_graph6, graphs), harmonic_energies(graphs)):
         eig, off_norm, sweeps = spectrum.eigenvalues, spectrum.off_norm, spectrum.sweeps
-        he = spectrum.he
-        # Adding 0.0 turns the -0.0 of a rounded-off zero eigenvalue into 0.0.
-        spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in eig)
-        text = (
-            f"graph6: {code}\nHE = {he:.{dec}f}\nspectrum: [{spect}]\n"
-            f"method: jacobi, sweeps: {sweeps}, off-norm: {off_norm:.3e}"
-        )
-        payload = {"graph6": code, "method": "jacobi", "he": he, "eigenvalues": list(eig),
-                   "off_norm": off_norm, "sweeps": sweeps}
-        pairs.append((text, payload))
-    return pairs
+        if args.format == "json":
+            blocks.append({"graph6": code, "method": "jacobi", "he": spectrum.he, "eigenvalues": list(eig),
+                           "off_norm": off_norm, "sweeps": sweeps})
+        else:
+            # Adding 0.0 turns the -0.0 of a rounded-off zero eigenvalue into 0.0.
+            spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in eig)
+            blocks.append(f"graph6: {code}\nHE = {spectrum.he:.{dec}f}\nspectrum: [{spect}]\n"
+                          f"method: jacobi, sweeps: {sweeps}, off-norm: {off_norm:.3e}")
+    return blocks
 
 
 # The subcommands that read graphs from --family or --from-file: name ->
-# (help, formats, function from (args, graphs) to one (text block, JSON
-# payload) pair per graph).
+# (help, formats, function from (args, graphs) to one block per graph in
+# args.format: a text block, or a JSON payload).
 _GRAPH_COMMANDS = {
     "gen": ("emit a family graph as graph6", ("text", "json"), _gen),
     "matrix": ("exact harmonic matrix", ("text", "json"), _matrix),
@@ -169,13 +169,12 @@ def _cmd_graphs(args) -> int:
         if not args.family:
             raise ValueError("need --family (or --from-file)")
         graphs = [generate(args.family, n=args.n, m=args.m)]
-    _, _, blocks = _GRAPH_COMMANDS[args.command]
-    pairs = blocks(args, graphs)
+    _, _, command = _GRAPH_COMMANDS[args.command]
+    blocks = command(args, graphs)
     if args.format == "json":
-        payloads = [payload for _, payload in pairs]
-        _emit(args, json.dumps(payloads[0] if len(payloads) == 1 else {"results": payloads}, indent=1))
+        _emit(args, json.dumps(blocks[0] if len(blocks) == 1 else {"results": blocks}, indent=1))
     else:
-        _emit(args, ("\n" if args.command == "gen" else "\n\n").join(text for text, _ in pairs))
+        _emit(args, ("\n" if args.command == "gen" else "\n\n").join(blocks))
     return 0
 
 
@@ -257,19 +256,10 @@ def _cmd_audit(args) -> int:
 _HANDLERS = {**dict.fromkeys(_GRAPH_COMMANDS, _cmd_graphs), "census": _cmd_census, "audit": _cmd_audit}
 
 
+# Exact outputs print integers of any length: main lifts Python's limit
+# of 4,300 digits on int-to-decimal conversion while it runs.
+@any_size_ints()
 def main(argv: list[str] | None = None) -> int:
-    # Exact outputs print integers of any length: Python refuses to
-    # convert one of more than 4,300 digits to decimal unless the limit is
-    # lifted, which main does while it runs.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

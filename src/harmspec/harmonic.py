@@ -22,10 +22,11 @@ def harmonic_entries(g: Graph) -> tuple[list[Fraction], np.ndarray]:
     in s, and the (n, n) array of each entry's position in them. Isolated
     vertices give zero rows: a factor x of the characteristic polynomial."""
     deg = degrees(g)
-    position = {s: k for k, s in enumerate(sorted({deg[u] + deg[v] for u, v in g.edges()}), 1)}
+    edges = [(u, v, deg[u] + deg[v]) for u, v in g.edges()]
+    position = {s: k for k, s in enumerate(sorted({s for _, _, s in edges}), 1)}
     index = np.zeros((g.n, g.n), dtype=np.intp)
-    for u, v in g.edges():
-        index[u, v] = index[v, u] = position[deg[u] + deg[v]]
+    for u, v, s in edges:
+        index[u, v] = index[v, u] = position[s]
     return [Fraction(0), *(Fraction(2, s) for s in position)], index
 
 

@@ -12,17 +12,23 @@ largest, into one array w[row, k, col] kept for the whole solve, and does
 round r of every matrix with the same numpy calls, from round tables built
 once; a matrix of order n takes part only in the rounds of its own n-order
 schedule. At the orders used here the time of a round is the overhead of
-its ~50 calls, not their arithmetic, so a stack of k matrices costs far
-less than k solves. harmonic_energies sorts its graphs by order and cuts
-them into stacks with order_batches, the rule by which the characteristic
-polynomial kernel cuts its calls too. Each matrix keeps its own live
-pairs, and its Frobenius threshold, off-diagonal norm and sweep count come
-from its own n x n block. Once its off-diagonal norm is at or below its
-threshold, its pairs leave the round tables; its arithmetic, and so every
-bit of its results, is the same in any stack as alone. A single matrix is
-a stack of one. The order is fixed and there is no randomization, so a
-given matrix always produces bit-identical output. A harmonic matrix is
-read as floats from its table, harmonic_entries.
+its ~45 calls more than their arithmetic, so a stack of k matrices costs
+far less than k solves. A round reads the (p, q), (p, p) and (q, q)
+entries of all its pairs in one gather, builds the rotated columns and
+rows in place on their gathered copies, and zeroes the (p, q) and (q, p)
+entries in one scatter; the overflow guard's masked divide runs only in a
+round with a pair that needs it. harmonic_energies sorts its graphs by
+order and cuts them into stacks with order_batches, the rule by which the
+characteristic polynomial kernel cuts its calls too. Each matrix keeps its
+own live pairs, and its Frobenius threshold, off-diagonal norm and sweep
+count come from its own n x n block: one row-wise reduction per order
+present sums the squares of its members' blocks, each row by the same
+pairwise summation it gets alone. Once its off-diagonal norm is at or
+below its threshold, a matrix's pairs leave the round tables; its
+arithmetic, and so every bit of its results, is the same in any stack as
+alone. A single matrix is a stack of one. The order is fixed and there is
+no randomization, so a given matrix always produces bit-identical output.
+A harmonic matrix is read as floats from its table, harmonic_entries.
 
 Every solve returns Spectrum values: one per matrix of a stack, and
 harmonic_energies one per graph. Every output reads them; the harmonic
@@ -124,17 +130,20 @@ def error_bounds(spectrum: Spectrum) -> tuple[float, float]:
     return e, math.sqrt(n) * e + n * u * math.fsum(abs(x) for x in eig)
 
 
-def _norm(block: np.ndarray, off: bool = False) -> float:
-    # The Frobenius norm of one n x n block (of its off-diagonal part when
-    # off), by numpy's pairwise sum over the contiguous row-major entries,
-    # so a matrix gets the same bits at any padding in any stack. A BLAS
-    # dot product, as np.linalg.norm takes, sums in an order that depends
-    # on the CPU kernel. A zeroed diagonal holds the entries of a - diag(a)
-    # up to the sign of zero, which squaring drops.
-    x = block.flatten()
+def _norms(w: np.ndarray, n: int, members: np.ndarray, off: bool = False) -> np.ndarray:
+    # The Frobenius norms of the n x n blocks of the given members of
+    # w[row, k, col] (of their off-diagonal parts when off), by numpy's
+    # row-wise pairwise sum over one contiguous row-major row per member,
+    # the sum the block gets alone, so a matrix gets the same bits at any
+    # padding in any stack. A BLAS dot product, as np.linalg.norm takes,
+    # sums in an order that depends on the CPU kernel. A zeroed diagonal
+    # holds the entries of a - diag(a) up to the sign of zero, which
+    # squaring drops.
+    x = w.transpose(1, 0, 2)[members, :n, :n].reshape(len(members), n * n)
     if off:
-        x[:: len(block) + 1] = 0.0
-    return math.sqrt(np.add.reduce(x * x))
+        x[:, :: n + 1] = 0.0
+    x *= x
+    return np.sqrt(np.add.reduce(x, axis=1))
 
 
 def order_batches(orders: Sequence[int], least: int = 1) -> list[slice]:
@@ -175,7 +184,7 @@ def _stacked_rounds(orders: Sequence[int]) -> list[np.ndarray]:
     padded to the largest order N and held as w[row, k, col]: round r pairs
     round r of _round_robin(n) of every member of order n that has one.
     Each round is one 2-D array with a column per pair and nine rows: the
-    flat indices into w of the entries (p, q), (q, p), (p, p) and (q, q),
+    flat indices into w of the entries (q, p), (p, q), (p, p) and (q, q),
     the indices of columns p and q in w.reshape(N, k*N) and of rows p and
     q in w.reshape(N*k, N), and the pair's member."""
     k, n = len(orders), max(orders)
@@ -185,8 +194,19 @@ def _stacked_rounds(orders: Sequence[int]) -> list[np.ndarray]:
     by_round = np.argsort(R, kind="stable")
     R, P, Q, K = R[by_round], P[by_round], Q[by_round], K[by_round]
     PK, QK = P * k + K, Q * k + K
-    index = np.stack([PK * n + Q, QK * n + P, PK * n + P, QK * n + Q, K * n + P, K * n + Q, PK, QK, K])
+    index = np.stack([QK * n + P, PK * n + Q, PK * n + P, QK * n + Q, K * n + P, K * n + Q, PK, QK, K])
     return np.split(index, np.flatnonzero(np.diff(R)) + 1, axis=1)
+
+
+def _rotate(a_p: np.ndarray, a_q: np.ndarray, c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (c a_p - s a_q, s a_p + c a_q) from gathered copies of the columns or
+    # rows p and q, the second written over a_p (a_q is written over too).
+    x = c * a_p
+    x -= s * a_q
+    a_p *= s
+    a_q *= c
+    a_p += a_q
+    return x, a_p
 
 
 def _sweep(w: np.ndarray, rounds: list[np.ndarray]) -> None:
@@ -196,33 +216,30 @@ def _sweep(w: np.ndarray, rounds: list[np.ndarray]) -> None:
     n, k, _ = w.shape
     flat, cols, rows = w.reshape(-1), w.reshape(n, k * n), w.reshape(n * k, n)
     for index in rounds:
-        pq, qp, pp, qq, col_p, col_q, row_p, row_q, _ = index
-        apq = flat[pq]
-        if not apq.all():
-            live = apq != 0.0
+        entries = flat.take(index[1:4])
+        if not entries[0].all():
+            live = entries[0] != 0.0
             if not live.any():
                 continue
-            pq, qp, pp, qq, col_p, col_q, row_p, row_q, _ = index.compress(live, axis=1)
-            apq = apq[live]
-        diff = flat[qq] - flat[pp]
+            index, entries = index.compress(live, axis=1), entries.compress(live, axis=1)
+        apq, app, aqq = entries
+        diff = aqq - app
         # Where |apq| < 1e-36 |diff|, theta would overflow; the rotation
         # angle is then ~apq/diff. Dividing by diff there keeps theta
         # finite before that value is written over it.
         small = np.abs(apq) < 1e-36 * np.abs(diff)
-        theta = diff / (2.0 * np.where(small, diff, apq))
+        guarded = small.any()
+        theta = diff / (2.0 * (np.where(small, diff, apq) if guarded else apq))
         t = np.copysign(1.0, theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-        np.divide(apq, diff, out=t, where=small)
+        if guarded:
+            np.divide(apq, diff, out=t, where=small)
         c = 1.0 / np.sqrt(t * t + 1.0)
         s = t * c
-        a_p, a_q = cols.take(col_p, axis=1), cols.take(col_q, axis=1)
-        cols[:, col_p] = c * a_p - s * a_q
-        cols[:, col_q] = s * a_p + c * a_q
-        c, s = c[:, None], s[:, None]
-        a_p, a_q = rows.take(row_p, axis=0), rows.take(row_q, axis=0)
-        rows[row_p] = c * a_p - s * a_q
-        rows[row_q] = s * a_p + c * a_q
-        flat[pq] = 0.0
-        flat[qp] = 0.0
+        col_p, col_q, row_p, row_q = index[4:8]
+        cols[:, col_p], cols[:, col_q] = _rotate(cols.take(col_p, axis=1), cols.take(col_q, axis=1), c, s)
+        rows[row_p], rows[row_q] = _rotate(rows.take(row_p, axis=0), rows.take(row_q, axis=0),
+                                           c[:, None], s[:, None])
+        flat[index[:2]] = 0.0
 
 
 def jacobi_eigenvalues_stack(stack: Sequence[np.ndarray] | np.ndarray) -> list[Spectrum]:
@@ -242,33 +259,40 @@ def jacobi_eigenvalues_stack(stack: Sequence[np.ndarray] | np.ndarray) -> list[S
             raise ValueError(f"matrices must be square, got shape {m.shape}")
         if not np.array_equal(m, m.T):
             raise ValueError("matrix must be symmetric")
-    orders = [len(m) for m in mats]
-    w = np.zeros((max(orders, default=0), len(mats), max(orders, default=0)))
+    k, orders = len(mats), np.array([len(m) for m in mats], dtype=np.intp)
+    size = int(orders.max(initial=0))
+    w = np.zeros((size, k, size))
     for i, m in enumerate(mats):
         w[: len(m), i, : len(m)] = m
-    thresholds = [DEFAULT_TOL * _norm(m) for m in mats]
-    offs = [_norm(m, off=True) for m in mats]
-    sweeps = [0] * len(mats)
-    active = [i for i, (off, threshold) in enumerate(zip(offs, thresholds)) if off > threshold]
-    rounds = _stacked_rounds(orders) if active else []
-    done, held = 0, len(mats)
-    while active:
+    # One row-wise reduction per order present gives the norms of all its
+    # members, and after each sweep of those still active.
+    groups = [(n, np.flatnonzero(orders == n)) for n in sorted(set(orders.tolist()))]
+    thresholds, offs, sweeps = np.zeros(k), np.zeros(k), np.zeros(k, dtype=int)
+    for n, members in groups:
+        thresholds[members] = DEFAULT_TOL * _norms(w, n, members)
+        offs[members] = _norms(w, n, members, off=True)
+    active = offs > thresholds
+    rounds = _stacked_rounds(orders.tolist()) if active.any() else []
+    done, held = 0, k
+    while active.any():
         if done >= MAX_SWEEPS:
-            raise JacobiConvergenceError(offs[active[0]], done)
-        if len(active) < held:
-            keep = np.zeros(len(mats), dtype=bool)
-            keep[active] = True
-            rounds = [r for r in (r.compress(keep[r[-1]], axis=1) for r in rounds) if r.size]
-            held = len(active)
+            raise JacobiConvergenceError(float(offs[active.argmax()]), done)
+        if np.count_nonzero(active) < held:
+            rounds = [r for r in (r.compress(active[r[-1]], axis=1) for r in rounds) if r.size]
+            held = np.count_nonzero(active)
         _sweep(w, rounds)
         done += 1
-        for i in active:
-            offs[i] = _norm(w[: orders[i], i, : orders[i]], off=True)
-            sweeps[i] = done
-        active = [i for i in active if offs[i] > thresholds[i]]
+        sweeps[active] = done
+        for n, members in groups:
+            members = members[active[members]]
+            if members.size:
+                offs[members] = _norms(w, n, members, off=True)
+        # A member done stays done: its block and off-diagonal norm no
+        # longer change.
+        active = offs > thresholds
     return [
         Spectrum(tuple(np.sort(w[:n, i, :n].diagonal())[::-1].tolist()), off, count)
-        for i, (n, off, count) in enumerate(zip(orders, offs, sweeps))
+        for i, (n, off, count) in enumerate(zip(orders.tolist(), offs.tolist(), sweeps.tolist()))
     ]
 
 

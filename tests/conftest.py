@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -737,13 +735,3 @@ def big_non_square() -> int:
         n += step
     return n
 
-
-@contextlib.contextmanager
-def any_size_ints():
-    """Lift the interpreter's int-to-decimal digit limit inside the block."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)

@@ -28,6 +28,9 @@ LAST = {"correct": True, "attempted": 40, "failed": 0,
                     "peak_rss_mb": {"value": 31.296875, "unit": "MB"}}}
 
 
+BOUNDS = {"pass_s": 0.24, "setup_s": 0.25, "peak_rss_mb": 0.1}
+
+
 def test_parse_run_reads_last_line_and_report():
     run = bench_record.parse_run(REPORT + json.dumps(LAST) + "\n")
     assert run == {"pass_s": 0.0883, "setup_s": 0.164, "peak_rss_mb": 31.296875,
@@ -62,8 +65,49 @@ def test_summary_per_tree_and_pairs_won():
     runs = [run(0, "parent", 1.0), run(0, "change", 0.75),
             run(1, "change", 1.5), run(1, "parent", 1.25),
             run(2, "parent", 2.0), run(2, "change", 0.5)]
-    got = bench_record.summary(runs)["audit"]
+    got = bench_record.summary(runs, BOUNDS)["audit"]
     assert got["parent"]["pass_s"] == {"median": 1.25, "q1": 1.125, "q3": 1.625, "n": 3}
     assert got["change"]["pass_s"]["median"] == 0.75
     assert got["change_lower"] == {"pass_s": 2, "setup_s": 0, "peak_rss_mb": 0}
     assert got["pairs"] == 3
+    assert got["verdict"] == {"pass_s": "unresolved", "setup_s": "unresolved",
+                              "peak_rss_mb": "unresolved"}
+
+
+def _record(parent: list[float], change: list[float]) -> list[dict]:
+    """Synthetic runs of one workload: pair k runs the parent at parent[k]
+    and the change at change[k] seconds of pass_s."""
+    def run(pair, tree, pass_s):
+        return {"workload": "energy_batch", "seed": 1, "pair": pair, "tree": tree,
+                "pass_s": pass_s, "setup_s": 0.2, "peak_rss_mb": 32.0, "calib_ms": 14.0}
+
+    return [r for k, (a, b) in enumerate(zip(parent, change))
+            for r in (run(k, "parent", a), run(k, "change", b))]
+
+
+# Ten parent runs: median 0.129, quartiles 0.12725 and 0.13075 (IQR 0.0035).
+PARENT = [0.125, 0.127, 0.128, 0.129, 0.130, 0.129, 0.126, 0.131, 0.132, 0.134]
+
+
+@pytest.mark.parametrize("change, want", [
+    # Lower in 9 of 10 pairs, median 0.1195: a gap of 0.0095 > the IQR.
+    ([0.118, 0.119, 0.120, 0.121, 0.117, 0.119, 0.120, 0.122, 0.116, 0.140], "gain"),
+    # Lower in 8 of 10 pairs: too few, whatever the gap.
+    ([0.110, 0.110, 0.110, 0.110, 0.110, 0.110, 0.110, 0.110, 0.140, 0.140], "unresolved"),
+    # Lower in every pair, but by 0.003 at the median: within the IQR.
+    ([x - 0.003 for x in PARENT], "unresolved"),
+    # Higher by 20% at the median: within pass_s's bound of 24%.
+    ([x * 1.2 for x in PARENT], "unresolved"),
+    # Higher by 30% at the median: beyond the bound.
+    ([x * 1.3 for x in PARENT], "worse"),
+], ids=["gain", "eight_of_ten", "within_iqr", "within_bound", "beyond_bound"])
+def test_verdict_from_synthetic_record(change, want):
+    got = bench_record.summary(_record(PARENT, change), BOUNDS)["energy_batch"]
+    assert got["pairs"] == 10
+    assert got["verdict"] == {"pass_s": want, "setup_s": "unresolved", "peak_rss_mb": "unresolved"}
+
+
+def test_gain_needs_ten_pairs():
+    # Lower in all of 5 pairs by far more than the IQR: still too few pairs.
+    got = bench_record.summary(_record(PARENT[:5], [0.05] * 5), BOUNDS)["energy_batch"]
+    assert got["verdict"]["pass_s"] == "unresolved"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from harmspec.census import enumerate_regular
 from harmspec.charpoly import (
     RatPoly,
     _deflate_ints,
+    any_size_ints,
     char_poly,
     char_polys,
     closed_form_complete,
@@ -435,6 +437,27 @@ class TestDisplay:
         assert payload["degree"] == 2
         assert payload["coefficients"][0] == {"num": -1, "den": 2}
         assert payload["coefficients"][2] == {"num": 1, "den": 1}
+
+    def test_display_beyond_int_str_limit(self):
+        # Called directly, outside the CLI: each function lifts Python's
+        # int-to-decimal limit for its call and restores the limit after.
+        n = big_non_square()
+        p = (2 * X - 1) * (X * X - n)
+        limit = sys.get_int_max_str_digits()
+        text, factored = poly_text(p), factored_display(p)
+        assert sys.get_int_max_str_digits() == limit
+        with any_size_ints():
+            assert text == f"2 λ^3 - λ^2 - {2 * n} λ + {n}"
+            assert factored == f"(λ - 1/2)(2 λ^2 - {2 * n})"
+        with pytest.raises(ValueError, match="limit"):
+            str(n)
+
+    def test_any_size_ints_restores_limit_on_error(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ZeroDivisionError), any_size_ints():
+            assert sys.get_int_max_str_digits() == 0
+            1 / 0
+        assert sys.get_int_max_str_digits() == limit
 
 
 def _sympy_rational_roots(p: RatPoly) -> list[tuple[Fraction, int]]:

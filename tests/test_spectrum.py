@@ -248,6 +248,31 @@ def _overflow_guard(n: int) -> np.ndarray:
     return a
 
 
+class _GuardSpy:
+    """Records, per round of the solver, whether it rotated and the mask of
+    pairs under the overflow guard, which only a guarded round computes
+    with np.where."""
+
+    def __init__(self, monkeypatch):
+        self.guarded, self.rounds = [], 0
+        rotate = spectrum_mod._rotate
+
+        def spy_rotate(a_p, a_q, c, s):
+            # Two calls per round: the column update, then the row update.
+            self.rounds += c.ndim == 1
+            return rotate(a_p, a_q, c, s)
+
+        monkeypatch.setattr(spectrum_mod, "_rotate", spy_rotate)
+        monkeypatch.setattr(spectrum_mod, "np", self)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def where(self, small, *args):
+        self.guarded.append(small.copy())
+        return np.where(small, *args)
+
+
 def _stopping_rule(monkeypatch, tol: float, max_sweeps: int) -> dict:
     """Set the solver's stopping rule; returns it as the reference solver's
     keyword arguments."""
@@ -283,7 +308,7 @@ class TestStackedJacobi:
         _assert_stack_matches_reference(stack)
 
     @pytest.mark.parametrize("n, special", [(6, _equal_diagonal), (9, _overflow_guard)])
-    def test_mixed_members(self, n, special):
+    def test_mixed_members(self, monkeypatch, n, special):
         rng = random.Random(n)
         isolated = disjoint_union([random_graph(rng, n - 2, 0.6), build_graph(2, [])])
         stack = [
@@ -294,9 +319,17 @@ class TestStackedJacobi:
             harmonic_floats(isolated),
             harmonic_floats(random_graph(rng, n, 0.2)),
         ]
+        spy = _GuardSpy(monkeypatch)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             got = _assert_stack_matches_reference(stack)
         assert [spectrum.sweeps for spectrum in got][1:3] == [0, 0]
+        if special is _overflow_guard:
+            # The guarded pair shares its round with unguarded pairs, and
+            # the rounds without a guarded pair skip the guard.
+            assert any(small.any() and not small.all() for small in spy.guarded)
+            assert 0 < len(spy.guarded) < spy.rounds
+        else:
+            assert spy.guarded == [] and spy.rounds > 0
 
     def test_tolerance_and_max_sweeps_per_member(self, monkeypatch):
         rng = random.Random(3)

@@ -13,11 +13,13 @@ the report lines above it. Every run writes a new BENCH_<pr>.json.
 
 The record holds every run, and per workload and tree the median and
 quartiles of pass_s, setup_s and peak_rss_mb, with the number of pairs in
-which this tree's value is the lower, plus calib_ms, nproc, the Python and
-numpy versions and the commits of both trees.
+which this tree's value is the lower and a verdict per metric (see
+verdict; a metric's bound on a worse median is BENCHMARK.json's), plus
+calib_ms, nproc, the Python and numpy versions and the commits of both
+trees.
 
 usage (from the root of a checkout):
-  python tools/bench_record.py --pr 28 --parent ../parent --pairs 10 --seconds 5
+  python tools/bench_record.py --pr 29 --parent ../parent --pairs 10
 """
 
 from __future__ import annotations
@@ -67,9 +69,26 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summary(runs: list[dict]) -> dict:
+def verdict(parent: dict, change: dict, lower: int, pairs: int, bound: float) -> str:
+    """The verdict on one metric of one workload, where lower is better,
+    from the parent's and the change's summaries and the pairs in which
+    the change is lower: "gain" if the change is lower in at least 9 of 10
+    pairs (and at least 10 pairs ran) and its median is below the parent's
+    by more than the parent's interquartile range; "worse" if its median is
+    above the parent's by more than bound times the parent's median;
+    "unresolved" otherwise."""
+    gap = parent["median"] - change["median"]
+    if pairs >= 10 and lower >= 0.9 * pairs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gap > bound * parent["median"]:
+        return "worse"
+    return "unresolved"
+
+
+def summary(runs: list[dict], bounds: dict[str, float]) -> dict:
     """Per workload and tree, the summary of each metric and of calib_ms;
-    with both trees, per metric the pairs in which the change is lower."""
+    with both trees, per metric the pairs in which the change is lower and
+    the verdict, given each metric's bound on a worse median."""
     out: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -83,9 +102,14 @@ def summary(runs: list[dict]) -> dict:
             pairs.setdefault((r["seed"], r["pair"]), {})[r["tree"]] = r
         both = [p for p in pairs.values() if len(p) == 2]
         if both:
-            out[workload]["change_lower"] = {
-                name: sum(p["change"][name] < p["parent"][name] for p in both) for name in METRICS}
-            out[workload]["pairs"] = len(both)
+            lower = {name: sum(p["change"][name] < p["parent"][name] for p in both) for name in METRICS}
+            entry = out[workload]
+            entry["change_lower"] = lower
+            entry["pairs"] = len(both)
+            entry["verdict"] = {
+                name: verdict(entry["parent"][name], entry["change"][name], lower[name], len(both),
+                              bounds[name])
+                for name in METRICS}
     return out
 
 
@@ -122,6 +146,10 @@ def main(argv: list[str] | None = None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads = [w["name"] for w in bench["workloads"]]
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    if any(metrics[name]["better"] != "lower" for name in METRICS):
+        raise SystemExit("bench_record: every recorded metric must be lower-better")
+    bounds = {name: metrics[name]["bound"] for name in METRICS}
     seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     seeds = [int(s) for s in args.seeds.split(",")]
     parent = os.path.abspath(args.parent) if args.parent else None
@@ -159,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         "environment": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                         "numpy": metadata.version("numpy")},
         "commits": {"change": commit(ROOT), "parent": commit(parent) if parent else None},
-        "summary": summary(runs),
+        "summary": summary(runs, bounds),
         "runs": runs,
     }
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
