@@ -39,14 +39,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _decimals(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
+# Decimal places of the floats in energy and census text output.
+DECIMALS = 7
 
 
 def _add_output_args(sub: argparse.ArgumentParser, formats: tuple[str, ...]):
@@ -80,7 +74,6 @@ def _charpoly(args, graphs: list[Graph]):
 
 
 def _energy(args, graphs: list[Graph]):
-    dec = args.decimals
     blocks = []
     for code, spectrum in zip(map(encode_graph6, graphs), harmonic_energies(graphs)):
         eig, off_norm, sweeps = spectrum.eigenvalues, spectrum.off_norm, spectrum.sweeps
@@ -89,8 +82,8 @@ def _energy(args, graphs: list[Graph]):
                            "off_norm": off_norm, "sweeps": sweeps})
         else:
             # Adding 0.0 turns the -0.0 of a rounded-off zero eigenvalue into 0.0.
-            spect = ", ".join(f"{round(x, dec) + 0.0:.{dec}f}" for x in eig)
-            blocks.append(f"graph6: {code}\nHE = {spectrum.he:.{dec}f}\nspectrum: [{spect}]\n"
+            spect = ", ".join(f"{round(x, DECIMALS) + 0.0:.{DECIMALS}f}" for x in eig)
+            blocks.append(f"graph6: {code}\nHE = {spectrum.he:.{DECIMALS}f}\nspectrum: [{spect}]\n"
                           f"method: jacobi, sweeps: {sweeps}, off-norm: {off_norm:.3e}")
     return blocks
 
@@ -118,22 +111,17 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--m", type=int, help="second parameter (bipartite part, windmill cycle length)")
         sub.add_argument("--from-file", dest="from_file", help="read graph6 input from a file instead")
         _add_output_args(sub, formats)
-    energy = subs.choices["energy"]
-    energy.add_argument("--decimals", type=_decimals, default=7, help="display precision for text output")
 
     census = subs.add_parser("census", help="regular-graph census with energies")
     census.add_argument("--n", type=int, help="vertex count")
     census.add_argument("--degree", type=int, help="regular degree")
     census.add_argument("--from-file", dest="from_file", help="graph6 file to use as the census source")
     _add_output_args(census, ("text", "json", "csv"))
-    census.add_argument("--decimals", type=_decimals, default=7)
 
     audit = subs.add_parser("audit", help="audit registered claims against the oracles")
     audit.add_argument("--claim", action="append", help="restrict to this claim id (repeatable)")
-    baseline = audit.add_mutually_exclusive_group()
-    baseline.add_argument("--baseline", help="baseline file to compare against (default: packaged)")
-    baseline.add_argument("--write-baseline", dest="write_baseline",
-                          help="write the verdicts to this path as a new baseline")
+    audit.add_argument("--write-baseline", dest="write_baseline",
+                       help="write the verdicts to this path as a new baseline")
     _add_output_args(audit, ("text", "json", "csv"))
 
     return parser
@@ -197,11 +185,10 @@ def _cmd_census(args) -> int:
     elif args.format == "json":
         _emit(args, json.dumps(census_json(records, classes, comparison, args.n, args.degree), indent=1))
     else:
-        dec = args.decimals
         lines = [f"{'idx':>4} {'graph6':<16} {'conn':<5} {'HE':>12}"]
         for r in records:
             lines.append(
-                f"{r.index:>4} {r.graph6:<16} {str(r.connected).lower():<5} {r.he:>12.{dec}f}"
+                f"{r.index:>4} {r.graph6:<16} {str(r.connected).lower():<5} {r.he:>12.{DECIMALS}f}"
             )
         lines.append("")
         lines.append("energy classes (display truncated to 3 decimals):")
@@ -225,8 +212,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    baseline = (audit_mod.default_baseline() if args.baseline is None
-                else audit_mod.load_baseline(args.baseline))
+    baseline = audit_mod.default_baseline()
     results = audit_mod.audit_all(args.claim)
     if args.write_baseline is not None:
         audit_mod.write_baseline(args.write_baseline, results)

@@ -263,5 +263,16 @@ def parse_graph6_lines(text: str) -> list[Graph]:
 
 
 def read_graph6_file(path: str) -> list[Graph]:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_graph6_lines(fh.read())
+    """The graphs of a graph6 file. A byte outside ASCII is a Graph6Error
+    naming its line, after any error on an earlier line; it never ends a line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_graph6_lines(data.decode("ascii"))
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+    # The "?" stands for the bad byte, so the last line is the byte's own
+    # even when a line break comes just before it.
+    *lines, head = (data[:bad].decode("ascii") + "?").splitlines()
+    parse_graph6_lines("\n".join(lines))
+    raise Graph6Error(f"line {len(lines) + 1}: invalid graph6 byte {data[bad]}", len(head) - 1)

@@ -5,9 +5,11 @@ tests/data/contract.txt. A one-byte change to any covered output fails here.
 Each command runs in-process through ``harmspec.cli.main`` from the root of
 the repository, so the file names in its argv and in its messages are
 relative. The commands of one census (n, d) share one enumeration: the
-first of its three formats runs enumerate_regular, the others reuse its
-list, so each census at n = 11 costs one enumeration, not three. After an
-intended output change, regenerate the manifest with
+first of its formats runs enumerate_regular, the others reuse its list, so
+each census at n = 11 costs one enumeration, not three. The censuses at
+n = 12 with d in 4..7 take from 10 s to 2 min each, so their lines run only
+under ``pytest -m slow``. After an intended output change, regenerate the
+manifest, these lines included (a few minutes), with
 
     PYTHONPATH=src python tests/test_contract.py --write
 
@@ -43,8 +45,7 @@ def _degrees(n: int) -> list[int]:
 
 
 def _commands() -> list[tuple[str, ...]]:
-    # The slow censuses (n = 12 with d in 4..7) and --write-baseline, which
-    # writes a file, are left out.
+    # --write-baseline, which writes a file, is left out.
     census = [
         ("census", "--n", str(n), "--degree", str(d), "--format", fmt)
         for n in range(1, 12) for d in _degrees(n) for fmt in ("text", "json", "csv")
@@ -85,7 +86,13 @@ def _commands() -> list[tuple[str, ...]]:
     return census + files + audit + errors
 
 
-COMMANDS = _commands()
+SLOW_COMMANDS = [
+    ("census", "--n", "12", "--degree", str(d), "--format", fmt)
+    for d, formats in ((4, ("text", "json", "csv")), (5, ("json",)), (6, ("json",)),
+                       (7, ("text", "json", "csv")))
+    for fmt in formats
+]
+COMMANDS = _commands() + SLOW_COMMANDS
 _enumerate = functools.cache(cli.enumerate_regular)
 
 
@@ -110,7 +117,11 @@ def test_manifest_lists_every_command():
     assert list(_manifest()) == COMMANDS
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=shlex.join)
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(argv, marks=pytest.mark.slow) if argv in SLOW_COMMANDS else argv for argv in COMMANDS],
+    ids=shlex.join,
+)
 def test_contract(monkeypatch, argv):
     monkeypatch.chdir(ROOT)
     assert _line(argv) == _manifest()[argv]

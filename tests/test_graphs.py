@@ -12,6 +12,7 @@ from harmspec.graphs import (
     disjoint_union,
     encode_graph6,
     parse_graph6_lines,
+    read_graph6_file,
     relabel,
 )
 from harmspec.families import complete, complete_bipartite, friendship, path
@@ -158,6 +159,22 @@ class TestGraph6:
     def test_parse_lines_reports_line_number(self):
         with pytest.raises(Graph6Error, match="line 2"):
             parse_graph6_lines("D?{\nD?\n")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"D?{\nD\xff{\n", "line 2: invalid graph6 byte 255 (byte offset 1)"),
+        # Decoded as latin-1, 0x85 would end a line and leave two valid ones.
+        (b"D?{\x85D?{\n", "line 1: invalid graph6 byte 133 (byte offset 3)"),
+        (b"D?{\r\n\x80", "line 2: invalid graph6 byte 128 (byte offset 0)"),
+        # Lines end where parse_graph6_lines ends them, form feeds included.
+        (b"D?{\x0c\r\nD?{\xff", "line 3: invalid graph6 byte 255 (byte offset 3)"),
+        (b"D?\nD?{\xff\n", "line 1: truncated graph6 string (byte offset 2)"),
+    ], ids=["second-line", "nel", "line-start", "form-feed", "earlier-error"])
+    def test_file_names_the_line_of_a_non_ascii_byte(self, tmp_path, data, message):
+        path = tmp_path / "graphs.g6"
+        path.write_bytes(data)
+        with pytest.raises(Graph6Error) as exc:
+            read_graph6_file(str(path))
+        assert str(exc.value) == message
 
     @given(graph_strategy())
     @settings(max_examples=100, deadline=None)
