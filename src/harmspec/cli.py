@@ -212,11 +212,11 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.write_baseline is not None:
+        audit_mod.write_baseline(args.write_baseline, audit_mod.audit_all(args.claim))
+        return 0
     baseline = audit_mod.default_baseline()
     results = audit_mod.audit_all(args.claim)
-    if args.write_baseline is not None:
-        audit_mod.write_baseline(args.write_baseline, results)
-        return 0
     if args.claim:
         # Restricted runs are compared only against the matching slice of
         # the baseline; untouched claims are not drift.

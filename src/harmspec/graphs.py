@@ -8,6 +8,7 @@ used as dictionary keys.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -172,6 +173,14 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
 
 # The graph6 byte of each 6-bit group read least significant bit first.
 _GRAPH6_GROUP = tuple(chr(63 + int(format(v, "06b")[::-1], 2)) for v in range(64))
+# The six bits each graph6 byte stands for, most significant first: their
+# order in the upper-triangle stream.
+_GRAPH6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+# Any byte outside 63..126.
+_NOT_GRAPH6_BYTE = re.compile("[^?-~]")
+# The whitespace a line may hold and still be blank: ASCII only, so a latin-1
+# byte such as 0x85 or 0xa0 is never skipped as blank.
+_BLANK = " \t\r\x0b\x0c"
 
 
 def encode_graph6(g: Graph) -> str:
@@ -195,32 +204,24 @@ def encode_graph6(g: Graph) -> str:
 
 
 def decode_graph6(line: str) -> Graph:
-    """Decode one graph6 line (an optional header is tolerated and stripped)."""
-    s = line.rstrip("\r\n")
-    base = 0
-    if s.startswith(GRAPH6_HEADER):
-        base = len(GRAPH6_HEADER)
-        s = s[base:]
+    """Decode one graph6 line: an optional header, then the graph, then at
+    most one newline with an optional carriage return before it."""
+    s = line.removesuffix("\n").removesuffix("\r")
+    base = len(GRAPH6_HEADER) if s.startswith(GRAPH6_HEADER) else 0
+    s = s[base:]
+    bad = _NOT_GRAPH6_BYTE.search(s)
+    if bad:
+        raise Graph6Error(f"invalid graph6 byte {ord(bad.group())}", base + bad.start())
     if not s:
         raise Graph6Error("empty graph6 string", base)
-
-    def byte(i: int) -> int:
-        if i >= len(s):
-            raise Graph6Error("truncated graph6 string", base + len(s))
-        c = ord(s[i])
-        if not 63 <= c <= 126:
-            raise Graph6Error(f"invalid graph6 byte {c!r}", base + i)
-        return c - 63
-
-    first = byte(0)
-    if first < 63:
-        n = first
-        pos = 1
+    if s[0] != "~":
+        n, pos = ord(s[0]) - 63, 1
+    elif s[1:2] == "~":
+        raise Graph6Error("vertex count beyond the supported range", base + 1)
+    elif len(s) < 4:
+        raise Graph6Error("truncated graph6 string", base + len(s))
     else:
-        if byte(1) == 63:
-            raise Graph6Error("vertex count beyond the supported range", base + 1)
-        n = byte(1) << 12 | byte(2) << 6 | byte(3)
-        pos = 4
+        n, pos = int(s[1:4].translate(_GRAPH6_BITS), 2), 4
 
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -228,32 +229,29 @@ def decode_graph6(line: str) -> Graph:
         raise Graph6Error("truncated graph6 string", base + len(s))
     if len(s) - pos > need:
         raise Graph6Error("trailing garbage after graph6 data", base + pos + need)
-
+    # Bit k of `stream` is bit k of the upper-triangle stream, as in
+    # encode_graph6; padding fills the last byte past bit nbits.
+    stream = int(s[pos:].translate(_GRAPH6_BITS)[::-1] or "0", 2)
+    if stream >> nbits:
+        raise Graph6Error("nonzero padding bits", base + len(s) - 1)
     rows = [0] * n
-    bit = 0
-    i, j = 0, 1  # the pair of `bit` in the column-major upper-triangle stream
-    for k in range(need):
-        group = byte(pos + k)
-        for shift in (5, 4, 3, 2, 1, 0):
-            if bit >= nbits:
-                if group >> shift & 1:
-                    raise Graph6Error("nonzero padding bits", base + pos + k)
-                continue
-            if group >> shift & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    for j in range(n):
+        column = stream & ((1 << j) - 1)
+        stream >>= j
+        rows[j] |= column
+        for i in _bits(column):
+            rows[i] |= 1 << j
     return Graph(n, tuple(rows))
 
 
 def parse_graph6_lines(text: str) -> list[Graph]:
-    """Decode every nonempty line of a graph6 file body."""
+    """One graph per nonblank line of a graph6 file body. Lines end only at
+    a newline, with an optional carriage return before it; a line is blank
+    when it holds only ASCII whitespace (space, tab, CR, VT, FF). Any other
+    byte outside 63..126 is a Graph6Error naming its line and byte offset."""
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip(_BLANK):
             continue
         try:
             out.append(decode_graph6(line))
@@ -263,16 +261,9 @@ def parse_graph6_lines(text: str) -> list[Graph]:
 
 
 def read_graph6_file(path: str) -> list[Graph]:
-    """The graphs of a graph6 file. A byte outside ASCII is a Graph6Error
-    naming its line, after any error on an earlier line; it never ends a line."""
+    """The graphs of a graph6 file: one graph per nonblank line. Lines end
+    only at a newline, with an optional carriage return before it; any other
+    byte outside 63..126 is a Graph6Error naming its line and byte offset.
+    Each byte is read as one latin-1 character, so offsets are byte offsets."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return parse_graph6_lines(data.decode("ascii"))
-    except UnicodeDecodeError as exc:
-        bad = exc.start
-    # The "?" stands for the bad byte, so the last line is the byte's own
-    # even when a line break comes just before it.
-    *lines, head = (data[:bad].decode("ascii") + "?").splitlines()
-    parse_graph6_lines("\n".join(lines))
-    raise Graph6Error(f"line {len(lines) + 1}: invalid graph6 byte {data[bad]}", len(head) - 1)
+        return parse_graph6_lines(fh.read().decode("latin-1"))

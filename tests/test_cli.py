@@ -463,6 +463,20 @@ class TestAudit:
         assert (code, out, calls) == (1, "", [])
         assert err.startswith(f"harmspec: error: {message}")
 
+    def test_write_baseline_reads_no_baseline(self, capsys, monkeypatch, tmp_path):
+        # The documented regeneration command repairs a broken packaged file.
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        _packaged(monkeypatch, broken)
+        written = tmp_path / "b.json"
+        assert run(capsys, "audit", "--write-baseline", str(written)) == (0, "", "")
+        assert json.loads(written.read_text()) == audit_mod.baseline_from_results(audit_mod.audit_all())
+        calls = []
+        monkeypatch.setattr(audit_mod, "audit_all", lambda *args: calls.append(args) or [])
+        code, out, err = run(capsys, "audit")
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith(f"harmspec: error: {broken} is not JSON")
+
     @pytest.mark.parametrize("flag", ["--write-baseline"])
     def test_empty_baseline_name_is_a_file_name(self, capsys, flag):
         # As for --from-file, an empty name does not mean "no file".
@@ -590,6 +604,14 @@ class TestErrors:
         code, out, err = run(capsys, command, "--from-file", str(source))
         assert (code, out) == (1, "")
         assert err == "harmspec: error: line 2: invalid graph6 byte 255 (byte offset 4)\n"
+
+    @pytest.mark.parametrize("command", ["energy", "census"])
+    def test_form_feed_does_not_end_a_line(self, capsys, tmp_path, command):
+        source = tmp_path / "graphs.g6"
+        source.write_bytes(b"D?{\x0cD?{\n")
+        code, out, err = run(capsys, command, "--from-file", str(source))
+        assert (code, out) == (1, "")
+        assert err == "harmspec: error: line 1: invalid graph6 byte 12 (byte offset 3)\n"
 
     @pytest.mark.parametrize(
         "argv, message",
